@@ -1539,15 +1539,6 @@ let p1 () =
       Test.make ~name:"crc16.64B"
         (Staged.stage (fun () ->
              ignore (Pte_net.Crc.of_string (String.make 64 'x'))));
-      Test.make ~name:"heap.push-pop.100"
-        (Staged.stage (fun () ->
-             let h = Heap.create ~dummy:0 in
-             for i = 1 to 100 do
-               Heap.push h (Float.of_int (i * 7919 mod 100)) i
-             done;
-             while not (Heap.is_empty h) do
-               ignore (Heap.pop h)
-             done));
       Test.make ~name:"executor.1s-ventilator"
         (Staged.stage (fun () ->
              let exec = Pte_hybrid.Executor.create (vent_system ()) in
@@ -1771,6 +1762,8 @@ let s1_scale () =
   let sizes, storm_horizon, emu_horizon =
     if !smoke then ([ 4; 64 ], 0.5, 60.0) else ([ 4; 64; 256; 1024 ], 2.0, 1800.0)
   in
+  (* N = 10^4 only for the emulation: the legacy list of S1a is quadratic *)
+  let emu_sizes = if !smoke then sizes else sizes @ [ 10_000 ] in
   let n_max = List.fold_left max 0 sizes in
   (* --- timer-storm microbench: heap vs legacy list --- *)
   let storm =
@@ -1835,7 +1828,7 @@ let s1_scale () =
             Table.fmt_float ~decimals:0 (emu_horizon /. wall);
             Table.fmt_float ~decimals:1 (Float.of_int events /. wall) ];
         (n, dt, events, wall))
-      sizes
+      emu_sizes
   in
   Table.add_note emu
     "a cell that wedged (Zeno, time-block, non-finite timer) would have \
@@ -1856,6 +1849,7 @@ let s1_scale () =
   write_bench_json ~bench:"S1" ~seed
     ~params:
       [ ("sizes", J.Arr (List.map (fun n -> J.Num (Float.of_int n)) sizes));
+        ("emu_sizes", J.Arr (List.map (fun n -> J.Num (Float.of_int n)) emu_sizes));
         ("storm_horizon", J.Num storm_horizon);
         ("emu_horizon", J.Num emu_horizon);
         ("smoke", J.Num (if !smoke then 1.0 else 0.0)) ]

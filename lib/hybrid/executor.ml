@@ -26,20 +26,26 @@
     - A bounded number of discrete changes may occur per instant;
       exceeding it raises {!Zeno} (the paper assumes non-zeno automata).
 
-    Hot-path organisation (PR 9, "scale to N >= 1000"): the event queue
-    is a binary min-heap ordered by [(due, seq)] with lazy-delete
-    tombstones (push O(log n), cancel O(1) amortised); automata live in
-    a flat array indexed by int with the name->index table only at the
-    API boundary; every location carries a precomputed dispatch index
-    (trigger-root -> edges, cached eager/spontaneous arrays); and
-    {!stabilize} re-chases only {e active} automata — those that fired,
-    received a message or whose location is time-sensitive — instead of
-    scanning the whole system every fixpoint round. Because [seq] is the
-    insertion order and breaks [due] ties exactly as the old sorted list
-    did, and quiescent automata contribute nothing to a fixpoint round,
-    traces are byte-identical to the pre-heap executor (the legacy
-    sorted-list engine survives as [~queue:`Legacy_list] for the S1
-    benchmark baseline and differential tests). *)
+    Hot-path organisation: the event queue is a binary min-heap ordered
+    by [(due, seq)] with lazy-delete tombstones, compacted once dead
+    entries outnumber live ones (push O(log n), cancel O(1) amortised);
+    automata live in a flat array indexed by int with the name->index
+    table only at the API boundary; every location carries a
+    precomputed dispatch index (trigger-root -> edges, cached
+    eager/spontaneous arrays); {!stabilize} re-chases only {e active}
+    automata — those that fired, received a message or whose location
+    is time-sensitive — instead of scanning the whole system every
+    fixpoint round; and the continuous sweep skips automata whose
+    location is {e lazy} (constant-rate flow, no invariant, no eager
+    spontaneous edge), replaying their skipped Euler additions only when
+    something reads or writes their valuation. Because [seq] is the
+    insertion order and breaks [due] ties exactly as a sorted list
+    does, quiescent automata contribute nothing to a fixpoint round, and
+    the replay performs the same float additions in the same order,
+    traces and valuations are bit-identical to the reference engine:
+    [~queue:`Legacy_list] keeps a sorted-list queue, full-scan
+    stabilization and a full sweep, for the S1 benchmark baseline and
+    the differential tests. *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
@@ -87,6 +93,14 @@ type loc_info = {
   has_eager : bool;
       (* whether time passage alone can enable a transition here: if not,
          the automaton needs no eager re-chase after a continuous step *)
+  is_lazy : bool;
+      (* a step here only adds [rate * span] to each listed variable:
+         the flow is [Rates], the invariant is [] and [eager] is empty *)
+  clock_vars : Var.t array;
+      (* lazy only: the distinct variables of the rate list, in order of
+         first occurrence *)
+  clock_slot : int array;  (* per rate entry: its index in [clock_vars] *)
+  clock_rate : float array;  (* per rate entry: its slope *)
 }
 
 type automaton_state = {
@@ -95,13 +109,14 @@ type automaton_state = {
   infos : (string, loc_info) Hashtbl.t;  (* location name -> index *)
   mutable info : loc_info;  (* current location's index *)
   mutable valuation : Valuation.t;
+  mutable synced : int;
+      (* number of sweeps already applied to [valuation]; a lazy
+         automaton lags behind and catches up in {!sync} *)
   mutable entered_at : float;
   mutable halted : bool;
       (* crashed node: flows frozen, edges disabled, receptions dropped *)
   mutable rate : float;
       (* local clock-drift factor: its flows advance [rate * dt] per step *)
-  mutable active : bool;
-      (* needs an eager re-chase in the next stabilization round *)
 }
 
 type token = int
@@ -120,6 +135,16 @@ type t = {
   recorder : Trace.Recorder.recorder;
   mutable router : router;
   mutable next_sample : float;
+  awake : int array;
+      (* bitset of the automata whose location is not lazy: the sweep
+         visits only these *)
+  active : int array;
+      (* bitset of the automata that need an eager re-chase in the next
+         stabilization round *)
+  mutable sweeps : int;  (* completed continuous sweeps *)
+  mutable cursor : int;
+      (* during a sweep, the index being advanced: automata below it
+         have already taken the current sweep; 0 outside a sweep *)
 }
 
 and pending = { due : float; seq : int; owner : string; payload : payload }
@@ -139,7 +164,8 @@ and heap = {
   mutable len : int;
   live : (int, unit) Hashtbl.t;
       (* seqs queued and not cancelled; cancel = remove (a tombstone),
-         pop skips entries whose seq is no longer live *)
+         pop skips entries whose seq is no longer live, and the heap is
+         compacted once dead entries outnumber live ones *)
 }
 
 and legacy_list = { mutable items : pending list (* sorted by (due, seq) *) }
@@ -177,12 +203,9 @@ let heap_push h item =
     else continue := false
   done
 
-(* Remove the root (precondition: [h.len > 0]), restoring heap order. *)
-let heap_drop_root h =
-  h.len <- h.len - 1;
-  h.arr.(0) <- h.arr.(h.len);
-  h.arr.(h.len) <- dummy_pending (* release the callback closure *);
-  let i = ref 0 in
+(* Move the entry at [i] down until both children come after it. *)
+let heap_sift_down h i =
+  let i = ref i in
   let continue = ref true in
   while !continue do
     let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
@@ -199,6 +222,34 @@ let heap_drop_root h =
     end
     else continue := false
   done
+
+(* Remove the root (precondition: [h.len > 0]), restoring heap order. *)
+let heap_drop_root h =
+  h.len <- h.len - 1;
+  h.arr.(0) <- h.arr.(h.len);
+  h.arr.(h.len) <- dummy_pending (* release the callback closure *);
+  heap_sift_down h 0
+
+(* Keep only the live entries and re-heapify bottom-up, in O(len).
+   [(due, seq)] is a total order, so the pop order is unchanged. *)
+let heap_compact h =
+  let kept = ref 0 in
+  for i = 0 to h.len - 1 do
+    let p = h.arr.(i) in
+    if Hashtbl.mem h.live p.seq then begin
+      h.arr.(!kept) <- p;
+      incr kept
+    end
+  done;
+  Array.fill h.arr !kept (h.len - !kept) dummy_pending;
+  h.len <- !kept;
+  for i = (h.len / 2) - 1 downto 0 do
+    heap_sift_down h i
+  done
+
+(* Dead entries tolerated beyond the live count before compacting, so
+   that tiny queues never compact. *)
+let compaction_floor = 64
 
 (* The live minimum, discarding cancelled (tombstoned) entries. *)
 let rec heap_peek h =
@@ -245,12 +296,56 @@ let queue_insert q item =
 
 let queue_cancel q token =
   match q with
-  | Heap h -> Hashtbl.remove h.live token
+  | Heap h ->
+      Hashtbl.remove h.live token;
+      (* without this, a cancelled entry and its closure stay queued
+         until its due time reaches the root *)
+      let live = Hashtbl.length h.live in
+      if h.len - live > live + compaction_floor then heap_compact h
   | Legacy_list l -> l.items <- List.filter (fun p -> p.seq <> token) l.items
+
+(* {2 Automaton-index bitsets}
+
+   The awake and active sets are scanned every step, so they are flat
+   int arrays of [word_bits]-bit words. The two scans ({!stabilize},
+   {!step}) are written out in place: a call per member, or a closure,
+   costs more than the scan itself at N = 4. Each skips zero words,
+   shifts through a nonzero word in declaration order, and re-reads the
+   word after every visit, so members added ahead of the scan are
+   visited and members removed ahead of it are not, as in a loop over
+   per-automaton flags. *)
+
+let word_bits = 63
+
+let bits_create n = Array.make ((n + word_bits - 1) / word_bits) 0
+
+let bit_set bits i =
+  let w = i / word_bits in
+  bits.(w) <- bits.(w) lor (1 lsl (i mod word_bits))
+
+let bit_clear bits i =
+  let w = i / word_bits in
+  bits.(w) <- bits.(w) land lnot (1 lsl (i mod word_bits))
 
 (* {2 Construction} *)
 
-let build_loc_info (loc : Location.t) edges =
+(* The lazy-replay tables of a [Rates] flow: its distinct variables,
+   and each entry's slot among them and slope. *)
+let clock_tables rates =
+  let vars = ref [] and count = ref 0 in
+  let slot var =
+    match List.assoc_opt var !vars with
+    | Some s -> s
+    | None ->
+        vars := (var, !count) :: !vars;
+        incr count;
+        !count - 1
+  in
+  let slots = Array.of_list (List.map (fun (var, _) -> slot var) rates) in
+  let distinct = Array.of_list (List.rev_map fst !vars) in
+  (distinct, slots, Array.of_list (List.map snd rates))
+
+let build_loc_info ~lazy_ok (loc : Location.t) edges =
   let edges = Array.of_list edges in
   let eager =
     Array.of_list
@@ -281,15 +376,32 @@ let build_loc_info (loc : Location.t) edges =
       Hashtbl.replace triggered_arrays root
         (Array.of_list (List.rev rev_edges)))
     triggered;
+  let has_eager = Array.length eager > 0 in
+  let rates =
+    match loc.Location.flow with
+    | Flow.Rates rates when lazy_ok && loc.Location.invariant = [] && not has_eager
+      ->
+        Some rates
+    | Flow.Rates _ | Flow.Ode _ -> None
+  in
+  let clock_vars, clock_slot, clock_rate =
+    match rates with
+    | Some rates -> clock_tables rates
+    | None -> ([||], [||], [||])
+  in
   {
     loc;
     eager;
     spontaneous;
     triggered = triggered_arrays;
-    has_eager = Array.length eager > 0;
+    has_eager;
+    is_lazy = Option.is_some rates;
+    clock_vars;
+    clock_slot;
+    clock_rate;
   }
 
-let build_state ix (a : Automaton.t) =
+let build_state ~lazy_ok ix (a : Automaton.t) =
   (* group edges by source location in one pass (declaration order) *)
   let by_src = Hashtbl.create (List.length a.Automaton.locations * 2) in
   List.iter
@@ -307,7 +419,8 @@ let build_state ix (a : Automaton.t) =
         | Some rev -> List.rev rev
         | None -> []
       in
-      Hashtbl.replace infos loc.Location.name (build_loc_info loc edges))
+      Hashtbl.replace infos loc.Location.name
+        (build_loc_info ~lazy_ok loc edges))
     a.Automaton.locations;
   let info =
     match Hashtbl.find_opt infos a.Automaton.initial_location with
@@ -320,10 +433,10 @@ let build_state ix (a : Automaton.t) =
     infos;
     info;
     valuation = Automaton.initial_valuation a;
+    synced = 0;
     entered_at = 0.0;
     halted = false;
     rate = 1.0;
-    active = true;
   }
 
 let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
@@ -335,7 +448,9 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
   Array.iteri
     (fun i (a : Automaton.t) -> Hashtbl.replace index a.Automaton.name i)
     automata;
-  let states = Array.mapi build_state automata in
+  (* the legacy engine is the reference: it sweeps every automaton *)
+  let lazy_ok = queue = `Heap in
+  let states = Array.mapi (build_state ~lazy_ok) automata in
   let listeners = Hashtbl.create (4 * n) in
   Array.iteri
     (fun i (a : Automaton.t) ->
@@ -368,6 +483,12 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
           { arr = Array.make 64 dummy_pending; len = 0; live = Hashtbl.create 64 }
     | `Legacy_list -> Legacy_list { items = [] }
   in
+  let awake = bits_create n and active = bits_create n in
+  Array.iter
+    (fun st ->
+      bit_set active st.ix;
+      if not st.info.is_lazy then bit_set awake st.ix)
+    states;
   {
     system;
     config;
@@ -381,6 +502,10 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     recorder;
     router = reliable_router;
     next_sample = 0.0;
+    awake;
+    active;
+    sweeps = 0;
+    cursor = 0;
   }
 
 let set_router t router = t.router <- router
@@ -395,10 +520,73 @@ let state_ix t name =
 
 let state t name = t.states.(state_ix t name)
 
+(* {2 Lazy constant-rate automata}
+
+   The sweep skips an automaton in a lazy location: there, a step only
+   adds [r *. (dt *. rate)] to each listed variable. Its valuation lags
+   [synced] sweeps behind and is brought up to date by {!sync} before
+   anything reads or writes it, replaying the skipped additions — the
+   same IEEE operations in the same order — in an unboxed loop. Every
+   change of location, rate or halted status syncs first, so the
+   skipped sweeps all ran under the current ones. *)
+
+(* Replay [k] skipped sweeps of a lazy, running automaton. *)
+let replay t st k =
+  let info = st.info in
+  let span = t.config.dt *. st.rate in
+  let entries = Array.length info.clock_slot in
+  if entries > 0 && not (span <= 0.0) then begin
+    let vars = info.clock_vars in
+    let values = Array.make (Array.length vars) 0.0 in
+    for s = 0 to Array.length vars - 1 do
+      values.(s) <- Valuation.get st.valuation vars.(s)
+    done;
+    for _ = 1 to k do
+      for j = 0 to entries - 1 do
+        let s = info.clock_slot.(j) in
+        values.(s) <- values.(s) +. (info.clock_rate.(j) *. span)
+      done
+    done;
+    let valuation = ref st.valuation in
+    for s = 0 to Array.length vars - 1 do
+      valuation := Valuation.set !valuation vars.(s) values.(s)
+    done;
+    st.valuation <- !valuation
+  end
+
+(* The sweeps [st]'s valuation must include now. Mid-sweep, the current
+   sweep counts only for automata the sweep has already passed, exactly
+   as the eager sweep would have advanced them. When an exception ends
+   a sweep early, the cursor stays where it stopped, so later reads
+   still see what the eager sweep left behind. *)
+let sync_target t st = if st.ix < t.cursor then t.sweeps + 1 else t.sweeps
+
+(* Bring [st]'s valuation up to date. Halted automata accumulate
+   nothing. *)
+let sync t st =
+  let target = sync_target t st in
+  let k = target - st.synced in
+  if k > 0 then begin
+    st.synced <- target;
+    if st.info.is_lazy && not st.halted then replay t st k
+  end
+
+(* Enter [info]. The caller has synced [st] or replaces its valuation. *)
+let set_location t st info =
+  st.info <- info;
+  if info.is_lazy then bit_clear t.awake st.ix else bit_set t.awake st.ix
+
+let synced_state t name =
+  let st = state t name in
+  sync t st;
+  st
+
+(* Cheap reads: neither needs the valuation, so neither syncs. *)
 let location_of t name = (state t name).info.loc.Location.name
-let valuation_of t name = (state t name).valuation
-let value_of t name var = Valuation.get (state t name).valuation var
 let dwell_time t name = t.now -. (state t name).entered_at
+
+let valuation_of t name = (synced_state t name).valuation
+let value_of t name var = Valuation.get (synced_state t name).valuation var
 
 (** Overwrite one variable, bypassing flows and resets. This is the hook
     for {e wired} physical couplings that the automata formalism cannot
@@ -407,9 +595,9 @@ let dwell_time t name = t.now -. (state t name).entered_at
     into the supervisor's local data state. Use through [pte_sim]'s
     coupling API rather than directly. *)
 let set_value t name var value =
-  let st = state t name in
+  let st = synced_state t name in
   st.valuation <- Valuation.set st.valuation var value;
-  st.active <- true
+  bit_set t.active st.ix
 
 let record t event = Trace.Recorder.record t.recorder ~time:t.now event
 let note t text = record t (Trace.Note text)
@@ -420,7 +608,7 @@ let note t text = record t (Trace.Note text)
     paper's fault model (message loss only) does not cover, which is
     exactly why injecting it is informative. *)
 let halt t name =
-  let st = state t name in
+  let st = synced_state t name in
   if not st.halted then begin
     st.halted <- true;
     note t (Printf.sprintf "fault: %s crashed" name)
@@ -432,11 +620,13 @@ let restart t name =
   let st = state t name in
   st.halted <- false;
   (match Hashtbl.find_opt st.infos st.automaton.Automaton.initial_location with
-  | Some info -> st.info <- info
+  | Some info -> set_location t st info
   | None -> assert false);
+  (* the fresh valuation owes no skipped sweep *)
   st.valuation <- Automaton.initial_valuation st.automaton;
+  st.synced <- sync_target t st;
   st.entered_at <- t.now;
-  st.active <- true;
+  bit_set t.active st.ix;
   note t (Printf.sprintf "fault: %s restarted" name);
   record t
     (Trace.Enter_location
@@ -450,7 +640,7 @@ let is_halted t name = (state t name).halted
 let set_rate t name rate =
   if rate <= 0.0 || not (Float.is_finite rate) then
     Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
-  (state t name).rate <- rate
+  (synced_state t name).rate <- rate
 
 let rate t name = (state t name).rate
 
@@ -514,16 +704,17 @@ let broadcast t ~sender ~root =
    broadcasts any sent event. The caller maintains the chain budget. *)
 let fire t st (edge : Edge.t) ~forced =
   let name = st.automaton.Automaton.name in
+  sync t st;
   record t
     (Trace.Transition
        { automaton = name; src = edge.src; dst = edge.dst; label = edge.label;
          forced });
   st.valuation <- Reset.apply edge.reset st.valuation;
   (match Hashtbl.find_opt st.infos edge.dst with
-  | Some info -> st.info <- info
+  | Some info -> set_location t st info
   | None -> assert false (* validated: no dangling edge endpoints *));
   st.entered_at <- t.now;
-  st.active <- true;
+  bit_set t.active st.ix;
   t.events <- t.events + 1;
   record t
     (Trace.Enter_location
@@ -544,6 +735,8 @@ let first_enabled edges valuation =
   in
   go 0
 
+(* Neither syncs: the sweep advances non-lazy automata eagerly, and a
+   lazy location has no eager edge, so no guard is read there. *)
 let enabled_spontaneous st = first_enabled st.info.spontaneous st.valuation
 let enabled_eager st = first_enabled st.info.eager st.valuation
 
@@ -562,7 +755,9 @@ let deliver t ~receiver ~root =
   else
     let candidate =
       match Hashtbl.find_opt st.info.triggered root with
-      | Some edges -> first_enabled edges st.valuation
+      | Some edges ->
+          sync t st;
+          first_enabled edges st.valuation
       | None -> None
     in
     match candidate with
@@ -652,14 +847,24 @@ let stabilize t =
           if not st.halted then chase st
         done
     | Heap _ ->
-        for i = 0 to n - 1 do
-          let st = t.states.(i) in
-          if st.active && not st.halted then begin
-            chase st;
-            (* fixpoint reached: nothing eager is enabled here until a
-               later delivery, mutation or continuous step re-marks it *)
-            st.active <- false
-          end
+        for w = 0 to Array.length t.active - 1 do
+          let base = w * word_bits in
+          let rest = ref t.active.(w) and i = ref base in
+          while !rest <> 0 do
+            if !rest land 1 = 1 then begin
+              let st = t.states.(!i) in
+              if not st.halted then begin
+                chase st;
+                (* fixpoint reached: nothing eager is enabled here until
+                   a later delivery, mutation or continuous step re-marks
+                   it *)
+                bit_clear t.active !i
+              end;
+              rest := (t.active.(w) lsr (!i - base)) lsr 1
+            end
+            else rest := !rest lsr 1;
+            incr i
+          done
         done
   done
 
@@ -715,6 +920,7 @@ let sample t =
       | None -> ()
       | Some ix ->
           let st = t.states.(ix) in
+          sync t st;
           record t
             (Trace.Sample
                { automaton; var; value = Valuation.get st.valuation var }))
@@ -725,16 +931,29 @@ let step t =
   stabilize t;
   let start = t.now in
   let span = t.config.dt in
-  let n = Array.length t.states in
-  for i = 0 to n - 1 do
-    let st = t.states.(i) in
-    if not st.halted then begin
-      advance_automaton t st ~start ~span:(span *. st.rate) ~depth:0;
-      (* time passed: only a location with eager spontaneous edges can
-         have gained an enabled transition from it *)
-      if st.info.has_eager then st.active <- true
-    end
+  (* lazy automata are skipped: {!sync} replays this sweep for them *)
+  for w = 0 to Array.length t.awake - 1 do
+    let base = w * word_bits in
+    let rest = ref t.awake.(w) and i = ref base in
+    while !rest <> 0 do
+      if !rest land 1 = 1 then begin
+        let st = t.states.(!i) in
+        t.cursor <- !i;
+        if not st.halted then begin
+          advance_automaton t st ~start ~span:(span *. st.rate) ~depth:0;
+          (* time passed: only a location with eager spontaneous edges
+             can have gained an enabled transition from it *)
+          if st.info.has_eager then bit_set t.active !i
+        end;
+        st.synced <- t.sweeps + 1;
+        rest := (t.awake.(w) lsr (!i - base)) lsr 1
+      end
+      else rest := !rest lsr 1;
+      incr i
+    done
   done;
+  t.cursor <- 0;
+  t.sweeps <- t.sweeps + 1;
   t.now <- start +. span;
   stabilize t;
   if t.config.sample_vars <> [] && t.now >= t.next_sample -. 1e-12 then begin

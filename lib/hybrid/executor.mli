@@ -10,12 +10,16 @@
 
     The hot path is built for systems of 1000+ automata: a binary
     min-heap event queue ordered by (due, insertion seq) with
-    lazy-delete tombstones, flat int-indexed automaton states with
-    per-location dispatch indices, and an activity-set stabilization
-    that re-chases only automata that changed since the last fixpoint.
-    All of it is trace-equivalent (byte-identical) to the original
-    sorted-list engine, which remains available as the
-    [~queue:`Legacy_list] benchmark baseline. *)
+    lazy-delete tombstones that are compacted away once they outnumber
+    the live entries, flat int-indexed automaton states with
+    per-location dispatch indices, an activity-set stabilization that
+    re-chases only automata that changed since the last fixpoint, and a
+    continuous sweep that skips automata sitting in constant-rate
+    locations with no invariant and no eager edge. A skipped automaton's
+    valuation is brought up to date, by replaying the same float
+    additions in the same order, before any read or write of it. All of
+    it is bit-identical to the reference engine selected by
+    [~queue:`Legacy_list]. *)
 
 exception
   Time_block of { automaton : string; location : string; time : float }
@@ -57,12 +61,14 @@ val default_config : config
 type t
 
 type queue_kind = [ `Heap | `Legacy_list ]
-(** Event-queue implementation: [`Heap] (the default) is the
-    O(log n)-push min-heap with O(1)-amortised cancel; [`Legacy_list]
-    is the original O(n) sorted singly-linked list {e and} the original
-    full-scan stabilization — kept as the measured baseline of the S1
-    throughput benchmark and for differential (trace-equality) tests.
-    Both produce byte-identical traces. *)
+(** Engine selection. [`Heap] (the default) is the production engine:
+    the O(log n)-push min-heap with O(1)-amortised cancel and tombstone
+    compaction, activity-set stabilization and lazy constant-rate
+    clocks. [`Legacy_list] is the reference: an O(n) sorted
+    singly-linked list, full-scan stabilization and a full continuous
+    sweep of every automaton every step. It is the measured baseline of
+    the S1 throughput benchmark and the oracle of the differential
+    tests. Both produce identical traces and bit-identical valuations. *)
 
 val create : ?config:config -> ?queue:queue_kind ->
   ?trace_sink:(Trace.entry -> unit) -> System.t -> t

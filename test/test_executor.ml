@@ -355,13 +355,27 @@ let test_sampler_catches_up () =
         Alcotest.failf "sample %d read %g, expected %g" i value expected)
     samples
 
+let check_same_trace legacy heap =
+  Alcotest.(check int) "same trace length" (List.length legacy)
+    (List.length heap);
+  List.iter2
+    (fun (l : Trace.entry) (h : Trace.entry) ->
+      if l <> h then
+        Alcotest.failf "traces diverge at t=%g" l.Trace.time)
+    legacy heap
+
 let test_heap_legacy_traces_identical () =
-  (* differential gate behind the whole refactor: the heap queue plus
-     activity-set stabilization must replay a busy multi-automaton run
-     byte-identically to the legacy sorted-list full-scan engine *)
+  (* differential gate behind the whole refactor: the heap queue (with
+     tombstone compaction), activity-set stabilization and lazy clocks
+     must replay a busy multi-automaton run byte-identically to the
+     legacy sorted-list full-scan engine. A storm of self-rescheduling
+     timers, each cancelling its previous far-future decoy, crosses the
+     compaction threshold many times; the timers fire in the same order
+     on both engines. *)
   let run queue =
     let system, _ = Pte_core.Scale.system ~n:3 () in
-    let exec = Executor.create ~queue system in
+    let config = { Executor.default_config with max_chain = 1024 } in
+    let exec = Executor.create ~config ~queue system in
     let init = Pte_core.Scale.initializer_name in
     let request = Pte_core.Events.stim_request ~initializer_:init in
     let cancel = Pte_core.Events.stim_cancel ~initializer_:init in
@@ -371,17 +385,333 @@ let test_heap_legacy_traces_identical () =
           (Executor.schedule exec ~at (fun exec0 ->
                ignore (Executor.deliver_now exec0 ~receiver:init ~root))))
       [ (0.5, request); (9.0, cancel); (12.0, request); (40.0, cancel) ];
+    let timers = 50 in
+    let fired = ref [] in
+    let decoys = Array.make timers None in
+    let rec arm i period =
+      ignore
+        (Executor.schedule exec ~at:(Executor.time exec +. period) (fun exec0 ->
+             fired := i :: !fired;
+             Option.iter (Executor.cancel exec0) decoys.(i);
+             decoys.(i) <-
+               Some (Executor.schedule exec0 ~at:(Executor.time exec0 +. 3600.0) ignore);
+             arm i period))
+    in
+    for i = 0 to timers - 1 do
+      arm i (0.002 +. (0.001 *. Float.of_int i))
+    done;
     Executor.run exec ~until:60.0;
-    Executor.trace exec
+    (Executor.trace exec, List.rev !fired, Executor.events_processed exec)
+  in
+  let heap, heap_fired, heap_events = run `Heap in
+  let legacy, legacy_fired, legacy_events = run `Legacy_list in
+  check_same_trace legacy heap;
+  Alcotest.(check bool) "storm cancels far more than ever lives" true
+    (List.length heap_fired > 20 * (2 * 50 + 64));
+  Alcotest.(check (list int)) "timers fire in the same order" legacy_fired
+    heap_fired;
+  Alcotest.(check int) "same events" legacy_events heap_events
+
+(* ---- lazy constant-rate clocks: bit-exact against the full sweep ---- *)
+
+let bits_of valuation =
+  List.map (fun (v, x) -> (v, Int64.bits_of_float x)) (Valuation.to_list valuation)
+
+let clock_automaton ?(name = "clk") () =
+  Automaton.make ~name ~vars:[ "c" ]
+    ~locations:[ Location.make ~flow:(Flow.Rates [ ("c", 0.3) ]) "L" ]
+    ~edges:[] ~initial_location:"L" ()
+
+let test_halted_lazy_does_not_advance () =
+  let run queue =
+    let exec = Executor.create ~queue (system_of [ clock_automaton () ]) in
+    Executor.run exec ~until:1.0;
+    Executor.halt exec "clk";
+    let at_halt = Executor.value_of exec "clk" "c" in
+    Executor.run exec ~until:2.0;
+    Alcotest.(check int64) "frozen while halted"
+      (Int64.bits_of_float at_halt)
+      (Int64.bits_of_float (Executor.value_of exec "clk" "c"));
+    Executor.restart exec "clk";
+    Executor.run exec ~until:2.5;
+    Executor.value_of exec "clk" "c"
   in
   let heap = run `Heap and legacy = run `Legacy_list in
-  Alcotest.(check int) "same trace length" (List.length legacy)
-    (List.length heap);
-  List.iter2
-    (fun (l : Trace.entry) (h : Trace.entry) ->
-      if l <> h then
-        Alcotest.failf "traces diverge at t=%g" l.Trace.time)
-    legacy heap
+  Alcotest.(check int64) "same value after restart" (Int64.bits_of_float legacy)
+    (Int64.bits_of_float heap)
+
+let test_rate_change_next_step () =
+  (* 40 steps at rate 1, then 60 at rate 2.5: the replay must add
+     0.3 * (dt * rate) per step with the rate of that step *)
+  let exec = Executor.create (system_of [ clock_automaton () ]) in
+  for _ = 1 to 40 do
+    Executor.step exec
+  done;
+  Executor.set_rate exec "clk" 2.5;
+  for _ = 1 to 60 do
+    Executor.step exec
+  done;
+  let expected = ref 0.0 in
+  let dt = Executor.default_config.Executor.dt in
+  for k = 1 to 100 do
+    let rate = if k <= 40 then 1.0 else 2.5 in
+    expected := !expected +. (0.3 *. (dt *. rate))
+  done;
+  Alcotest.(check int64) "bit-exact Euler sum" (Int64.bits_of_float !expected)
+    (Int64.bits_of_float (Executor.value_of exec "clk" "c"))
+
+let test_scans_see_members_added_ahead () =
+  (* A timer kicks "kicker", whose eager send reaches "relay" one
+     stabilization round later, after "flag" has been chased and gone
+     quiet. Relay's eager send of "ping" makes the router raise flag
+     ahead of the active scan, so flag's eager edge must fire in that
+     same round, before the ping lands. "holder" hits its invariant
+     mid-sweep and its forced exit sends "pong"; the router restarts
+     "ticker" ahead of the sweep into its awake initial location, so
+     the sweep must advance it in that step. *)
+  let clock = Flow.clocks [ "c" ] in
+  let relay_through name ~recv ~send =
+    Automaton.make ~name ~vars:[]
+      ~locations:[ Location.make "Wait"; Location.make "Send"; Location.make "Done" ]
+      ~edges:
+        [ Edge.make ~label:(Label.Recv recv) ~src:"Wait" ~dst:"Send" ();
+          Edge.make ~label:(Label.Send send) ~src:"Send" ~dst:"Done" () ]
+      ~initial_location:"Wait" ()
+  in
+  let kicker = relay_through "kicker" ~recv:"kick" ~send:"go" in
+  let relay = relay_through "relay" ~recv:"go" ~send:"ping" in
+  let flag =
+    Automaton.make ~name:"flag" ~vars:[ "f" ]
+      ~locations:[ Location.make "Idle"; Location.make "Flagged"; Location.make "Heard" ]
+      ~edges:
+        [ Edge.make ~guard:[ Guard.atom "f" Guard.Ge 1.0 ] ~src:"Idle" ~dst:"Flagged" ();
+          Edge.make ~label:(Label.Recv "ping") ~src:"Idle" ~dst:"Heard" () ]
+      ~initial_location:"Idle" ()
+  in
+  let holder =
+    Automaton.make ~name:"holder" ~vars:[ "c" ]
+      ~locations:
+        [ Location.make ~flow:clock ~invariant:[ Guard.atom "c" Guard.Le 1.0 ] "Hold";
+          Location.make ~flow:clock "Out" ]
+      ~edges:
+        [ Edge.make ~urgency:Edge.Delayed ~label:(Label.Send "pong") ~src:"Hold"
+            ~dst:"Out" () ]
+      ~initial_location:"Hold" ()
+  in
+  let ticker =
+    Automaton.make ~name:"ticker" ~vars:[ "c" ]
+      ~locations:
+        [ Location.make ~flow:clock ~invariant:[ Guard.atom "c" Guard.Le 100.0 ] "Tick";
+          Location.make ~flow:clock "Rest" ]
+      ~edges:
+        [ Edge.make ~guard:[ Guard.atom "c" Guard.Ge 0.2 ] ~src:"Tick" ~dst:"Rest" ();
+          Edge.make ~label:(Label.Recv "pong") ~src:"Tick" ~dst:"Tick" () ]
+      ~initial_location:"Tick" ()
+  in
+  let run queue =
+    let exec =
+      Executor.create ~queue (system_of [ kicker; relay; flag; holder; ticker ])
+    in
+    Executor.set_router exec (fun ~time:_ ~sender:_ ~root ~receiver ->
+        (match (root, receiver) with
+        | "ping", "flag" -> Executor.set_value exec "flag" "f" 1.0
+        | "pong", _ -> Executor.restart exec "ticker"
+        | _ -> ());
+        Executor.Deliver 0.0);
+    ignore
+      (Executor.schedule exec ~at:0.5 (fun exec0 ->
+           ignore (Executor.deliver_now exec0 ~receiver:"kicker" ~root:"kick")));
+    Executor.run exec ~until:1.5;
+    ( Executor.trace exec,
+      Executor.location_of exec "flag",
+      Int64.bits_of_float (Executor.value_of exec "ticker" "c") )
+  in
+  let heap, flag_at, ticker_c = run `Heap in
+  let legacy, legacy_flag_at, legacy_ticker_c = run `Legacy_list in
+  check_same_trace legacy heap;
+  Alcotest.(check string) "flag chased before the ping lands" "Flagged" flag_at;
+  Alcotest.(check string) "same as the full scan" legacy_flag_at flag_at;
+  Alcotest.(check int64) "restarted ticker swept in the same step"
+    legacy_ticker_c ticker_c
+
+(* One member of a random mixed system: lazy locations (one with a
+   Delayed edge, one listing a variable twice, one frozen), an
+   invariant location whose forced exit sends mid-sweep, an eager
+   location and an ODE location. *)
+let mixed_automaton ~name ~initial (c : float array) =
+  let open Guard in
+  let send root = Label.Send root and recv root = Label.Recv root in
+  Automaton.make ~name ~vars:[ "x"; "y"; "z" ]
+    ~locations:
+      [ Location.make ~flow:(Flow.Rates [ ("x", 1.0); ("y", c.(0)) ]) "L1";
+        Location.make
+          ~flow:(Flow.Rates [ ("y", 2.0); ("z", 0.3); ("y", -0.75) ])
+          "L2";
+        Location.make ~flow:(Flow.Rates [ ("x", 1.0); ("z", -0.5) ])
+          ~invariant:[ "x" <=. c.(1) ] "Inv";
+        Location.make ~flow:(Flow.clocks [ "y" ]) "Eg";
+        Location.make
+          ~flow:
+            (Flow.Ode
+               (fun _ v -> [ ("z", 0.1 -. (0.2 *. Valuation.get v "z")); ("x", 0.5) ]))
+          "Ode";
+        Location.make "Frozen" ]
+    ~edges:
+      [ Edge.make ~urgency:Edge.Delayed ~guard:[ "x" >=. c.(2) ] ~src:"L1"
+          ~dst:"Inv" ();
+        Edge.make ~label:(recv "a") ~reset:(Reset.set "x" 0.0) ~src:"L1"
+          ~dst:"Inv" ();
+        Edge.make ~label:(Label.Recv_lossy "b") ~guard:[ "x" >=. 0.5 ] ~src:"L1"
+          ~dst:"L2" ();
+        Edge.make ~label:(recv "a") ~guard:[ "y" <=. c.(3) +. 1.0 ] ~src:"L2"
+          ~dst:"Eg" ();
+        Edge.make ~label:(Label.Recv_lossy "b") ~src:"L2" ~dst:"Ode" ();
+        Edge.make ~urgency:Edge.Delayed ~guard:[ "x" >=. 0.0 ] ~label:(send "b")
+          ~src:"Inv" ~dst:"L1" ();
+        Edge.make ~label:(Label.Recv_lossy "b") ~src:"Inv" ~dst:"L2" ();
+        Edge.make ~guard:[ "y" >=. c.(3) ] ~reset:(Reset.set "y" 0.0)
+          ~label:(send "a") ~src:"Eg" ~dst:"L1" ();
+        Edge.make ~label:(recv "a") ~src:"Ode" ~dst:"L1" ();
+        Edge.make ~guard:[ "x" >=. c.(4) ] ~reset:(Reset.set "x" 0.0) ~src:"Ode"
+          ~dst:"Inv" ();
+        Edge.make ~label:(Label.Recv_lossy "b") ~src:"Frozen" ~dst:"Eg" () ]
+    ~initial_location:initial
+    ~initial_values:[ ("x", c.(5)); ("y", c.(6)) ]
+    ()
+
+let mixed_locations = [| "L1"; "L2"; "Inv"; "Eg"; "Ode"; "Frozen" |]
+
+type mixed_op =
+  | Set_rate of int * float
+  | Halt of int
+  | Restart of int
+  | Set_value of int * string * float
+  | Inject of int * string
+
+type mixed_case = {
+  members : (int * float array) list;  (* initial location, constants *)
+  ops : (int * mixed_op) list;  (* applied before the given step *)
+  sampled : (int * string) list;
+  period : float;
+  steps : int;
+}
+
+let gen_mixed_case =
+  let open QCheck.Gen in
+  let member =
+    pair (int_bound 5)
+      (map Array.of_list
+         (flatten_l
+            [ float_range (-0.5) 2.0; float_range 0.2 1.5; float_range 0.0 3.0;
+              float_range 0.1 1.0; float_range 0.2 2.0; float_range 0.0 0.2;
+              float_range 0.0 1.0 ]))
+  in
+  int_range 2 5 >>= fun n ->
+  let who = int_bound (n - 1) in
+  let op =
+    oneof
+      [ map2 (fun i r -> Set_rate (i, r)) who (float_range 0.5 2.0);
+        map (fun i -> Halt i) who;
+        map (fun i -> Restart i) who;
+        map3 (fun i v x -> Set_value (i, v, x)) who (oneofl [ "x"; "y"; "z" ])
+          (float_range (-0.5) 2.0);
+        map2 (fun i r -> Inject (i, r)) who (oneofl [ "a"; "b" ]) ]
+  in
+  int_range 100 600 >>= fun steps ->
+  map4
+    (fun members ops sampled period -> { members; ops; sampled; period; steps })
+    (list_repeat n member)
+    (list_size (int_bound 12) (pair (int_bound (steps - 1)) op))
+    (list_size (int_bound 4) (pair who (oneofl [ "x"; "y"; "z" ])))
+    (float_range 0.02 0.5)
+
+let print_mixed_case c =
+  let op = function
+    | Set_rate (i, r) -> Printf.sprintf "set_rate a%d %g" i r
+    | Halt i -> Printf.sprintf "halt a%d" i
+    | Restart i -> Printf.sprintf "restart a%d" i
+    | Set_value (i, v, x) -> Printf.sprintf "set_value a%d %s %g" i v x
+    | Inject (i, r) -> Printf.sprintf "inject a%d %s" i r
+  in
+  Printf.sprintf "%d steps; members [%s]; ops [%s]; sampled [%s] every %g"
+    c.steps
+    (String.concat "; "
+       (List.map
+          (fun (l, k) ->
+            Printf.sprintf "%s %s" mixed_locations.(l)
+              (String.concat "," (Array.to_list (Array.map string_of_float k))))
+          c.members))
+    (String.concat "; " (List.map (fun (s, o) -> Printf.sprintf "@%d %s" s (op o)) c.ops))
+    (String.concat "; " (List.map (fun (i, v) -> Printf.sprintf "a%d.%s" i v) c.sampled))
+    c.period
+
+(* Run [c] on one engine: the trace (or the exception that ended the
+   run), the work count and every final valuation as raw float bits. *)
+let run_mixed queue c =
+  let names = List.mapi (fun i _ -> Printf.sprintf "a%d" i) c.members in
+  let system =
+    system_of
+      (List.mapi
+         (fun i (l, k) ->
+           mixed_automaton ~name:(Printf.sprintf "a%d" i)
+             ~initial:mixed_locations.(l) k)
+         c.members)
+  in
+  let config =
+    { Executor.default_config with
+      dt = 0.01;
+      sample_vars = List.map (fun (i, v) -> (Printf.sprintf "a%d" i, v)) c.sampled;
+      sample_period = c.period }
+  in
+  let exec = Executor.create ~config ~queue system in
+  (* reads every valuation on each send — mid-sweep on a forced exit —
+     routes on the raw bits of what it read, and on some sends writes
+     or restarts one automaton, adding it to the active or awake set
+     ahead of or behind the scan in progress *)
+  let n = List.length names in
+  Executor.set_router exec (fun ~time:_ ~sender:_ ~root:_ ~receiver:_ ->
+      let sum =
+        List.fold_left
+          (fun acc name ->
+            List.fold_left (fun acc v -> acc +. Executor.value_of exec name v) acc
+              [ "x"; "y"; "z" ])
+          0.0 names
+      in
+      let bits = Int64.to_int (Int64.bits_of_float sum) in
+      let target = List.nth names ((bits lsr 3) mod n) in
+      if bits land 4 <> 0 then Executor.set_value exec target "y" 5.0
+      else if bits land 0x300 = 0 then Executor.restart exec target;
+      match bits land 3 with
+      | 0 -> Executor.Lose
+      | 1 -> Executor.Deliver 0.0
+      | 2 -> Executor.Deliver 0.03
+      | _ -> Executor.Deliver_many [ 0.0; 0.02 ]);
+  let apply = function
+    | Set_rate (i, r) -> Executor.set_rate exec (List.nth names i) r
+    | Halt i -> Executor.halt exec (List.nth names i)
+    | Restart i -> Executor.restart exec (List.nth names i)
+    | Set_value (i, v, x) -> Executor.set_value exec (List.nth names i) v x
+    | Inject (i, r) -> ignore (Executor.inject exec ~receiver:(List.nth names i) ~root:r)
+  in
+  let outcome =
+    match
+      for s = 0 to c.steps - 1 do
+        List.iter (fun (at, o) -> if at = s then apply o) c.ops;
+        Executor.step exec
+      done
+    with
+    | () -> Ok ()
+    | exception e -> Error (Printexc.to_string e)
+  in
+  ( outcome,
+    Executor.trace exec,
+    Executor.events_processed exec,
+    List.map (fun name -> (name, bits_of (Executor.valuation_of exec name))) names )
+
+let prop_lazy_matches_full_sweep =
+  QCheck.Test.make ~name:"lazy clocks = full sweep, bit for bit" ~count:150
+    (QCheck.make ~print:print_mixed_case gen_mixed_case)
+    (fun c -> run_mixed `Heap c = run_mixed `Legacy_list c)
 
 let test_trace_sink_streams () =
   let seen = ref 0 in
@@ -432,6 +762,13 @@ let suite =
           test_sampler_catches_up;
         Alcotest.test_case "heap and legacy-list traces identical" `Quick
           test_heap_legacy_traces_identical;
+        Alcotest.test_case "halted lazy clock does not advance" `Quick
+          test_halted_lazy_does_not_advance;
+        Alcotest.test_case "rate change takes effect next step" `Quick
+          test_rate_change_next_step;
+        Alcotest.test_case "scans visit members added ahead" `Quick
+          test_scans_see_members_added_ahead;
+        QCheck_alcotest.to_alcotest prop_lazy_matches_full_sweep;
         Alcotest.test_case "trace sink streams" `Quick test_trace_sink_streams;
       ] );
   ]

@@ -2,7 +2,7 @@
 
 let () =
   Alcotest.run "pte-lease"
-    (Test_rng.suite @ Test_heap.suite @ Test_stats.suite @ Test_table.suite
+    (Test_rng.suite @ Test_stats.suite @ Test_table.suite
    @ Test_campaign.suite
    @ Test_guard.suite @ Test_valuation.suite @ Test_flow_reset.suite
    @ Test_automaton.suite @ Test_wellformed.suite @ Test_trace.suite
