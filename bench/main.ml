@@ -423,7 +423,8 @@ let v1 () =
           Table.Right ]
       ()
   in
-  let run label check =
+  let module J = Pte_util.Json in
+  let run name label check =
     let t0 = Unix.gettimeofday () in
     let r = check () in
     let dt = Unix.gettimeofday () -. t0 in
@@ -440,19 +441,46 @@ let v1 () =
         Table.fmt_int r.Pte_mc.Reach.transitions;
         Table.fmt_bool r.Pte_mc.Reach.exhausted;
         (if kinds = [] then "none" else String.concat " | " kinds);
-        Table.fmt_float ~decimals:1 dt ]
+        Table.fmt_float ~decimals:1 dt ];
+    let count n = J.Num (Float.of_int n) in
+    J.Obj
+      [ ("name", J.Str name);
+        ("states", count r.Pte_mc.Reach.states);
+        ("transitions", count r.Pte_mc.Reach.transitions);
+        ("discrete_states", count r.Pte_mc.Reach.discrete_states);
+        ("max_zones_per_key", count r.Pte_mc.Reach.max_zones_per_key);
+        ("exhausted", J.Bool r.Pte_mc.Reach.exhausted);
+        ("violation_kinds", J.Arr (List.map (fun k -> J.Str k) kinds));
+        ("wall_s", J.Num dt);
+        ("states_per_s", J.Num (Float.of_int r.Pte_mc.Reach.states /. dt)) ]
   in
-  run "with lease (c1-c7 hold)" (fun () -> Pte_mc.Reach.check_pattern params);
-  run "without lease" (fun () ->
-      Pte_mc.Reach.check_pattern ~lease:false
-        ~config:{ Pte_mc.Reach.default_config with stop_at_first = true }
-        params);
-  run "with lease, dwell bound 60 s (trial rule)" (fun () ->
-      Pte_mc.Reach.check_pattern ~dwell_bound:60.0 params);
+  let with_lease =
+    run "with_lease" "with lease (c1-c7 hold)" (fun () ->
+        Pte_mc.Reach.check_pattern params)
+  in
+  let without_lease =
+    run "without_lease" "without lease" (fun () ->
+        Pte_mc.Reach.check_pattern ~lease:false
+          ~config:{ Pte_mc.Reach.default_config with stop_at_first = true }
+          params)
+  in
+  let dwell_60 =
+    run "with_lease_dwell_60" "with lease, dwell bound 60 s (trial rule)"
+      (fun () -> Pte_mc.Reach.check_pattern ~dwell_bound:60.0 params)
+  in
   Table.add_note table
     "exhaustive + none = a machine-checked proof of the PTE safety rules for \
      this configuration under arbitrary loss";
-  Table.print table
+  Table.print table;
+  (* deterministic: the seed field only keeps the BENCH_*.json schema *)
+  write_bench_json ~bench:"V1" ~seed:0
+    ~params:
+      [ ("config", J.Str "case_study");
+        ( "max_states",
+          J.Num
+            (Float.of_int
+               Pte_mc.Reach.default_config.Pte_mc.Reach.max_states) ) ]
+    ~metrics:[ with_lease; without_lease; dwell_60 ]
 
 (* ------------------------------------------------------------------ *)
 (* V2: ablations of each Theorem 1 condition                           *)
@@ -498,10 +526,7 @@ let v2 () =
       in
       let r =
         Pte_mc.Reach.check_pattern
-          ~config:
-            { Pte_mc.Reach.default_config with
-              max_states = 40_000;
-              stop_at_first = true }
+          ~config:{ Pte_mc.Reach.max_states = 40_000; stop_at_first = true }
           p
       in
       let mc =

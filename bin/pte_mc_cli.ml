@@ -1,8 +1,8 @@
 (* `pte-mc`: zone-reachability model checking of the lease pattern.
 
-     dune exec bin/pte_mc_cli.exe                        # verify the case study
-     dune exec bin/pte_mc_cli.exe -- --no-lease --trace  # find + show a counterexample
-     dune exec bin/pte_mc_cli.exe -- --t-enter-2 3       # break c5 *)
+     dune exec bin/pte_mc_cli.exe                                   # verify the case study
+     dune exec bin/pte_mc_cli.exe -- --lease false --first --trace  # find + show a counterexample
+     dune exec bin/pte_mc_cli.exe -- --t-enter-2 3                  # break c5 *)
 
 open Cmdliner
 
@@ -30,8 +30,7 @@ let run lease t_enter_2 dwell_bound max_states first show_trace =
   let t0 = Unix.gettimeofday () in
   let r =
     Pte_mc.Reach.check_pattern ~lease
-      ~config:
-        { Pte_mc.Reach.default_config with max_states; stop_at_first = first }
+      ~config:{ Pte_mc.Reach.max_states; stop_at_first = first }
       ?dwell_bound p
   in
   Fmt.pr "explored %d states / %d transitions in %.1fs (%s)@."

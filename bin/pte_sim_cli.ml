@@ -1,7 +1,7 @@
 (* `pte-sim`: run laser-tracheotomy emulation trials from the command
    line.
 
-     dune exec bin/pte_sim_cli.exe -- --minutes 30 --e-toff 18 --no-lease
+     dune exec bin/pte_sim_cli.exe -- --minutes 30 --e-toff 18 --lease false
      dune exec bin/pte_sim_cli.exe -- --table1
      dune exec bin/pte_sim_cli.exe -- --loss 0.4 --seed 7 --verbose *)
 

@@ -22,23 +22,10 @@ let compare a b =
       if Float.abs (v1 -. v2) > 1e-12 then Float.compare v1 v2
       else Bool.compare s2 s1 (* strict (true) is tighter, i.e. smaller *)
 
-let min a b = if compare a b <= 0 then a else b
-
 let add a b =
   match (a, b) with
   | Inf, _ | _, Inf -> Inf
   | Bound (v1, s1), Bound (v2, s2) -> Bound (v1 +. v2, s1 || s2)
-
-let neg = function
-  | Inf -> invalid_arg "Bound.neg: infinite bound"
-  | Bound (v, s) -> Bound (-.v, s)
-
-(** Does a pair of bounds [x − y ⋈ a] and [y − x ⋈ b] admit a solution?
-    Empty iff a + b < 0, or a + b = 0 with either strict. *)
-let consistent a b =
-  match add a b with
-  | Inf -> true
-  | Bound (v, s) -> v > 1e-12 || (Float.abs v <= 1e-12 && not s)
 
 let equal a b = compare a b = 0
 

@@ -14,14 +14,7 @@ val compare : t -> t -> int
 (** Tighter-than ordering: a strict bound is tighter than a non-strict
     one of the same value; [Inf] is loosest. *)
 
-val min : t -> t -> t
 val add : t -> t -> t
-
-val neg : t -> t
-(** Raises on [Inf]. *)
-
-val consistent : t -> t -> bool
-(** Do [x − y ⋈ a] and [y − x ⋈ b] admit a solution? *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

@@ -6,84 +6,150 @@
     automata, complementing the numeric simulator: the pattern's clocks
     all have rate 1, its guards and invariants are clock constraints, so
     zone reachability decides PTE safety for a given configuration under
-    truly arbitrary message loss (Theorem 1's quantifier). *)
+    truly arbitrary message loss (Theorem 1's quantifier).
+
+    A zone is one flat unboxed row-major matrix (DESIGN §14). Entries are
+    compared by [tighter], which orders them exactly as {!Bound.compare}
+    does, and every operation keeps the loop order and float additions
+    of the boxed algorithm, so zones are bit-identical to it for finite
+    constants. Only {!copy}, the constructors and the {!Bound.t} views
+    allocate. *)
 
 type t = {
   dim : int;  (** number of clocks + 1 *)
-  m : Bound.t array array;
+  v : float array;  (** entry [(i, j)] at [i * dim + j]; [infinity] is ∞ *)
+  s : Bytes.t;  (** strictness: ['\001'] for [<]; ∞ is stored ['\000'] *)
 }
 
 let dim t = t.dim
 
-let copy t = { dim = t.dim; m = Array.map Array.copy t.m }
+let copy t = { dim = t.dim; v = Array.copy t.v; s = Bytes.copy t.s }
+
+let index t i j =
+  if i < 0 || i >= t.dim || j < 0 || j >= t.dim then
+    invalid_arg "Dbm: clock index out of range";
+  (i * t.dim) + j
+
+let[@inline] strict t idx = Char.code (Bytes.unsafe_get t.s idx)
+
+let[@inline] set t idx v s =
+  Array.unsafe_set t.v idx v;
+  Bytes.unsafe_set t.s idx (Char.unsafe_chr s)
+
+let[@inline] copy_entry t ~src ~dst =
+  set t dst (Array.unsafe_get t.v src) (strict t src)
+
+(* [(v, s)] is strictly tighter than [(v', s')]: [Bound.compare] < 0.
+   Values within 1e-12 tie, and then a strict bound is the tighter one;
+   two ∞ tie too (|∞ − ∞| is NaN) and are both stored non-strict. *)
+let[@inline] tighter v s v' s' =
+  if Float.abs (v -. v') > 1e-12 then v < v' else s > s'
 
 (** The zone where every clock equals 0. *)
 let zero ~clocks =
   let dim = clocks + 1 in
-  { dim; m = Array.make_matrix dim dim (Bound.le 0.0) }
+  { dim; v = Array.make (dim * dim) 0.0; s = Bytes.make (dim * dim) '\000' }
 
 (** The unconstrained zone (all clocks >= 0). *)
 let top ~clocks =
-  let dim = clocks + 1 in
-  let m =
-    Array.init dim (fun i ->
-        Array.init dim (fun j ->
-            if i = j then Bound.zero
-            else if i = 0 then Bound.le 0.0 (* 0 − x_j <= 0 *)
-            else Bound.infinity_))
-  in
-  { dim; m }
+  let t = zero ~clocks in
+  for i = 1 to t.dim - 1 do
+    for j = 0 to t.dim - 1 do
+      if i <> j then t.v.((i * t.dim) + j) <- infinity
+    done
+  done;
+  t
 
-let get t i j = t.m.(i).(j)
+let get t i j =
+  let idx = index t i j in
+  let v = t.v.(idx) in
+  if v = infinity then Bound.Inf else Bound.Bound (v, strict t idx = 1)
 
 let is_empty t =
-  let rec go i = i >= t.dim || (Bound.compare t.m.(i).(i) Bound.zero >= 0 && go (i + 1)) in
-  not (go 0)
+  let step = t.dim + 1 and n = t.dim * t.dim in
+  let idx = ref 0 in
+  while
+    !idx < n && not (tighter (Array.unsafe_get t.v !idx) (strict t !idx) 0.0 0)
+  do
+    idx := !idx + step
+  done;
+  !idx < n
 
 (** Floyd–Warshall tightening to canonical form. *)
 let canonicalize t =
-  let { dim; m } = t in
+  let dim = t.dim and v = t.v in
   for k = 0 to dim - 1 do
     for i = 0 to dim - 1 do
-      for j = 0 to dim - 1 do
-        let through_k = Bound.add m.(i).(k) m.(k).(j) in
-        if Bound.compare through_k m.(i).(j) < 0 then m.(i).(j) <- through_k
-      done
+      let ik = (i * dim) + k in
+      (* nothing passes through an ∞ (i, k), which stays ∞ meanwhile *)
+      if Array.unsafe_get v ik < infinity then
+        for j = 0 to dim - 1 do
+          let ij = (i * dim) + j and kj = (k * dim) + j in
+          let via = Array.unsafe_get v ik +. Array.unsafe_get v kj in
+          if via < infinity then begin
+            let sv = strict t ik lor strict t kj in
+            if tighter via sv (Array.unsafe_get v ij) (strict t ij) then
+              set t ij via sv
+          end
+        done
     done
   done
 
-(** Constrain [x_i − x_j ⋈ bound] and restore canonical form
-    incrementally. Returns [false] if the zone became empty. *)
-let constrain t i j bound =
-  if Bound.compare bound t.m.(i).(j) < 0 then begin
-    t.m.(i).(j) <- bound;
+(* [x_i − x_j ⋈ (bv, bs)], [bv] = ±[c] finite; see {!constrain}. The
+   negation happens here so that no caller boxes a float. *)
+let constrain_raw t i j ~neg c bs =
+  let bv = if neg then -.c else c in
+  let ij = index t i j in
+  if tighter bv bs t.v.(ij) (strict t ij) then begin
+    set t ij bv bs;
     (* incremental canonicalization through the updated edge *)
-    let { dim; m } = t in
+    let dim = t.dim and v = t.v in
     for a = 0 to dim - 1 do
-      for b = 0 to dim - 1 do
-        let via = Bound.add (Bound.add m.(a).(i) bound) m.(j).(b) in
-        if Bound.compare via m.(a).(b) < 0 then m.(a).(b) <- via
-      done
+      let ai = (a * dim) + i in
+      if Array.unsafe_get v ai < infinity then
+        for b = 0 to dim - 1 do
+          let jb = (j * dim) + b and ab = (a * dim) + b in
+          let via = Array.unsafe_get v ai +. bv +. Array.unsafe_get v jb in
+          if via < infinity then begin
+            let sv = strict t ai lor bs lor strict t jb in
+            if tighter via sv (Array.unsafe_get v ab) (strict t ab) then
+              set t ab via sv
+          end
+        done
     done
   end;
   not (is_empty t)
+
+(** Constrain [x_i − x_j ⋈ bound] and restore canonical form
+    incrementally. Returns [false] if the zone became empty. *)
+let constrain t i j = function
+  | Bound.Bound (v, s) when v < infinity ->
+      constrain_raw t i j ~neg:false v (Bool.to_int s)
+  | _ -> not (is_empty t)
 
 (** Time elapse ("up"): remove upper bounds on all clocks. Preserves
     canonical form. *)
 let up t =
   for i = 1 to t.dim - 1 do
-    t.m.(i).(0) <- Bound.infinity_
+    set t (i * t.dim) infinity 0
   done
 
 (** Reset clock [i] to 0. Requires canonical input; preserves it. *)
 let reset t i =
-  for j = 0 to t.dim - 1 do
+  let dim = t.dim and ii = index t i i in
+  for j = 0 to dim - 1 do
     if j <> i then begin
-      t.m.(i).(j) <- t.m.(0).(j);
-      t.m.(j).(i) <- t.m.(j).(0)
+      copy_entry t ~src:j ~dst:((i * dim) + j);
+      copy_entry t ~src:(j * dim) ~dst:((j * dim) + i)
     end
   done;
-  t.m.(i).(i) <- Bound.zero
+  set t ii 0.0 0
+
+(* entry [dst] := entry [a] + entry [b] (∞ absorbs, strictness ORs) *)
+let add_into t ~dst a b =
+  let via = Array.unsafe_get t.v a +. Array.unsafe_get t.v b in
+  if via < infinity then set t dst via (strict t a lor strict t b)
+  else set t dst infinity 0
 
 (** Free clock [i]: drop every constraint involving it (the clock becomes
     an arbitrary non-negative value, unrelated to the others). This is
@@ -91,66 +157,63 @@ let reset t i =
     clock does not re-entangle with the others as time elapses. Preserves
     canonical form. *)
 let free t i =
-  for j = 0 to t.dim - 1 do
+  let dim = t.dim and i0 = index t i 0 in
+  for j = 0 to dim - 1 do
     if j <> i then begin
-      t.m.(i).(j) <- (if j = 0 then Bound.infinity_ else t.m.(i).(0));
-      t.m.(j).(i) <- t.m.(j).(0)
+      if j = 0 then set t i0 infinity 0 else copy_entry t ~src:i0 ~dst:(i0 + j);
+      copy_entry t ~src:(j * dim) ~dst:((j * dim) + i)
     end
   done;
   (* x_i >= 0 and unbounded above; differences via 0 only *)
-  t.m.(0).(i) <- Bound.le 0.0;
-  t.m.(i).(0) <- Bound.infinity_;
-  for j = 1 to t.dim - 1 do
+  set t i 0.0 0;
+  set t i0 infinity 0;
+  for j = 1 to dim - 1 do
     if j <> i then begin
-      t.m.(i).(j) <- Bound.add t.m.(i).(0) t.m.(0).(j);
-      t.m.(j).(i) <- Bound.add t.m.(j).(0) t.m.(0).(i)
+      add_into t ~dst:(i0 + j) i0 j;
+      add_into t ~dst:((j * dim) + i) (j * dim) i
     end
   done
 
 (** [includes a b]: every valuation of [b] lies in [a] (assumes both
-    canonical and non-empty). *)
+    canonical and non-empty). Stops at the first entry of [a] tighter
+    than [b]'s. *)
 let includes a b =
   assert (a.dim = b.dim);
-  let ok = ref true in
-  for i = 0 to a.dim - 1 do
-    for j = 0 to a.dim - 1 do
-      if Bound.compare a.m.(i).(j) b.m.(i).(j) < 0 then ok := false
-    done
+  let n = a.dim * a.dim in
+  let idx = ref 0 in
+  while
+    !idx < n
+    && not
+         (tighter (Array.unsafe_get a.v !idx) (strict a !idx)
+            (Array.unsafe_get b.v !idx) (strict b !idx))
+  do
+    incr idx
   done;
-  !ok
+  !idx = n
 
-let equal a b =
-  a.dim = b.dim
-  &&
-  let ok = ref true in
-  for i = 0 to a.dim - 1 do
-    for j = 0 to a.dim - 1 do
-      if not (Bound.equal a.m.(i).(j) b.m.(i).(j)) then ok := false
-    done
-  done;
-  !ok
+(* entries tie iff neither is tighter, as [Bound.equal] *)
+let equal a b = a.dim = b.dim && includes a b && includes b a
 
 (** Upper bound of clock [i] over the zone ([Inf] if unbounded). *)
-let sup t i = t.m.(i).(0)
+let sup t i = get t i 0
 
 (** Lower bound of clock [i] (as a non-negative float). *)
 let inf t i =
-  match t.m.(0).(i) with
-  | Bound.Inf -> 0.0 (* cannot happen for clocks *)
-  | Bound.Bound (v, _) -> -.v
+  let v = t.v.(index t 0 i) in
+  if v = infinity then 0.0 (* cannot happen for clocks *) else -.v
 
 type cmp = Le | Lt | Ge | Gt | Eq
 
 (** Constrain by a clock atom [x_i ⋈ c]. *)
 let constrain_atom t ~clock ~cmp ~const =
   match cmp with
-  | Le -> constrain t clock 0 (Bound.le const)
-  | Lt -> constrain t clock 0 (Bound.lt const)
-  | Ge -> constrain t 0 clock (Bound.le (-.const))
-  | Gt -> constrain t 0 clock (Bound.lt (-.const))
+  | Le -> constrain_raw t clock 0 ~neg:false const 0
+  | Lt -> constrain_raw t clock 0 ~neg:false const 1
+  | Ge -> constrain_raw t 0 clock ~neg:true const 0
+  | Gt -> constrain_raw t 0 clock ~neg:true const 1
   | Eq ->
-      constrain t clock 0 (Bound.le const)
-      && constrain t 0 clock (Bound.le (-.const))
+      constrain_raw t clock 0 ~neg:false const 0
+      && constrain_raw t 0 clock ~neg:true const 0
 
 (** Per-clock k-extrapolation (Behrmann et al.): entry [(i, j)] bounds
     [x_i − x_j]; its upper bound is irrelevant beyond [k.(i)] and its
@@ -160,47 +223,21 @@ let constrain_atom t ~clock ~cmp ~const =
     protocol automata with long-lived observer clocks. [k.(0)] is
     ignored (the reference row/column keeps clocks non-negative). *)
 let normalize_per_clock t ~k =
-  let bound_for i = if i = 0 then 0.0 else k.(i) in
+  let dim = t.dim in
   let changed = ref false in
-  for i = 0 to t.dim - 1 do
-    for j = 0 to t.dim - 1 do
-      if i <> j then
-        match t.m.(i).(j) with
-        | Bound.Inf -> ()
-        | Bound.Bound (v, _) ->
-            if i > 0 && v > bound_for i then begin
-              t.m.(i).(j) <- Bound.infinity_;
-              changed := true
-            end
-            else if j > 0 && v < -.bound_for j then begin
-              t.m.(i).(j) <- Bound.lt (-.bound_for j);
-              changed := true
-            end
-    done
-  done;
-  if !changed then canonicalize t
-
-(** Extrapolation (k-normalization) w.r.t. a maximal constant, to
-    guarantee termination of reachability on unbounded clocks. *)
-let normalize t ~max_const =
-  let big = Bound.le max_const in
-  let changed = ref false in
-  for i = 0 to t.dim - 1 do
-    for j = 0 to t.dim - 1 do
-      if i <> j then begin
-        (match t.m.(i).(j) with
-        | Bound.Inf -> ()
-        | Bound.Bound (v, _) ->
-            if v > max_const then begin
-              t.m.(i).(j) <- Bound.infinity_;
-              changed := true
-            end
-            else if v < -.max_const then begin
-              t.m.(i).(j) <- Bound.lt (-.max_const);
-              changed := true
-            end);
-        ignore big
-      end
+  for i = 0 to dim - 1 do
+    for j = 0 to dim - 1 do
+      let idx = (i * dim) + j in
+      let v = Array.unsafe_get t.v idx in
+      if i <> j && v < infinity then
+        if i > 0 && v > k.(i) then begin
+          set t idx infinity 0;
+          changed := true
+        end
+        else if j > 0 && v < -.k.(j) then begin
+          set t idx (-.k.(j)) 1;
+          changed := true
+        end
     done
   done;
   if !changed then canonicalize t
@@ -215,7 +252,7 @@ let pp ?names ppf t =
   in
   for i = 0 to t.dim - 1 do
     for j = 0 to t.dim - 1 do
-      if i <> j && t.m.(i).(j) <> Bound.Inf then
-        Fmt.pf ppf "%s-%s%a; " (name i) (name j) Bound.pp t.m.(i).(j)
+      if i <> j && t.v.((i * t.dim) + j) < infinity then
+        Fmt.pf ppf "%s-%s%a; " (name i) (name j) Bound.pp (get t i j)
     done
   done

@@ -1,6 +1,12 @@
 (** Difference Bound Matrices (Dill 1989): the canonical zone
     representation for timed-automaton reachability. Index 0 is the
-    reference clock; entry [(i, j)] bounds [x_i − x_j]. *)
+    reference clock; entry [(i, j)] bounds [x_i − x_j].
+
+    A zone is one flat unboxed matrix; its entries order exactly as
+    {!Bound.compare} orders them, so for finite constants every
+    operation yields the same bounds, bit for bit, as the textbook
+    matrix of {!Bound.t}. Clock indices outside [0, dim) raise
+    [Invalid_argument]. *)
 
 type t
 
@@ -36,7 +42,7 @@ val free : t -> int -> unit
 
 val includes : t -> t -> bool
 (** [includes a b]: every valuation of [b] lies in [a] (both canonical,
-    non-empty). *)
+    non-empty). Returns at the first entry that decides. *)
 
 val equal : t -> t -> bool
 
@@ -54,9 +60,5 @@ val normalize_per_clock : t -> k:float array -> unit
 (** Per-clock k-extrapolation (Behrmann et al.): bounds beyond each
     clock's largest relevant constant are blurred, guaranteeing
     termination of reachability. Sound over-approximation. *)
-
-val normalize : t -> max_const:float -> unit
-(** Single-constant extrapolation (coarser per-clock constants all equal
-    to [max_const]). *)
 
 val pp : ?names:string array -> t Fmt.t

@@ -31,14 +31,9 @@ type violation_kind =
 
 type violation = { kind : violation_kind; state : int }
 
-type config = {
-  max_states : int;
-  stop_at_first : bool;
-  progress : (states:int -> transitions:int -> unit) option;
-}
+type config = { max_states : int; stop_at_first : bool }
 
-let default_config =
-  { max_states = 2_000_000; stop_at_first = false; progress = None }
+let default_config = { max_states = 2_000_000; stop_at_first = false }
 
 type state = {
   locs : int array;
@@ -53,8 +48,8 @@ type result = {
   states : int;
   transitions : int;
   exhausted : bool;
-      (** [true] when the full state space was covered (so an empty
-          [violations] list is a proof). *)
+      (** [true] when the search drained its queue: the full state space
+          was covered (so an empty [violations] list is a proof). *)
   trace : int -> string list;
   discrete_states : int;  (** distinct (location vector, flags) keys *)
   max_zones_per_key : int;
@@ -409,17 +404,10 @@ let check ?(config = default_config) ~(system : System.t)
   if close initial_locs initial_zone then
     add_state initial_locs 0 initial_zone ~parent:(-1)
       ~action:(fun () -> "init");
-  let exhausted = ref true in
+  (* the state budget and stop-at-first both leave states queued *)
   while (not (Queue.is_empty queue)) && not !stop do
-    if !n_states > config.max_states then begin
-      exhausted := false;
-      Queue.clear queue
-    end
+    if !n_states > config.max_states then stop := true
     else begin
-      (match config.progress with
-      | Some f when !transitions land 0xFFFF = 0 ->
-          f ~states:!n_states ~transitions:!transitions
-      | _ -> ());
       let idx = Queue.pop queue in
       let s = get_state idx in
       Array.iteri
@@ -523,7 +511,7 @@ let check ?(config = default_config) ~(system : System.t)
     violations = List.rev !violations;
     states = !n_states;
     transitions = !transitions;
-    exhausted = !exhausted;
+    exhausted = Queue.is_empty queue;
     trace;
     discrete_states;
     max_zones_per_key = !max_zones;

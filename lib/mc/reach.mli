@@ -19,21 +19,19 @@ type violation_kind =
 
 type violation = { kind : violation_kind; state : int }
 
-type config = {
-  max_states : int;
-  stop_at_first : bool;
-  progress : (states:int -> transitions:int -> unit) option;
-}
+type config = { max_states : int; stop_at_first : bool }
 
 val default_config : config
-(** 2M states, collect all violations, no progress callback. *)
+(** 2M states, collect all violations. *)
 
 type result = {
   violations : violation list;
   states : int;
   transitions : int;
   exhausted : bool;
-      (** [true] when the full state space was covered. *)
+      (** [true] when the full state space was covered: the search
+          drained its queue, stopped neither by the state budget nor by
+          [stop_at_first]. *)
   trace : int -> string list;
       (** action trace from the initial state to a violation's state. *)
   discrete_states : int;

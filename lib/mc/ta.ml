@@ -256,18 +256,3 @@ let accumulate_max_constants t ~k =
   in
   Array.iter (fun l -> scan l.invariant) t.locations;
   Array.iter (fun es -> List.iter (fun (e : edge) -> scan e.guard) es) t.edges
-
-(** Largest constant appearing anywhere (for zone extrapolation). *)
-let max_constant t =
-  let from_atoms atoms =
-    List.fold_left (fun acc (a : clock_atom) -> Float.max acc (Float.abs a.const)) 0.0 atoms
-  in
-  let loc_max =
-    Array.fold_left
-      (fun acc l -> Float.max acc (from_atoms l.invariant))
-      0.0 t.locations
-  in
-  Array.fold_left
-    (fun acc es ->
-      List.fold_left (fun acc e -> Float.max acc (from_atoms e.guard)) acc es)
-    loc_max t.edges

@@ -56,5 +56,3 @@ val active_clocks : t -> Int_set.t array
 val accumulate_max_constants : t -> k:float array -> unit
 (** Grow [k] (indexed by global clock) to cover this automaton's guard
     and invariant constants (per-clock extrapolation bounds). *)
-
-val max_constant : t -> float

@@ -100,6 +100,32 @@ let test_no_lease_rule1 () =
   Alcotest.(check bool) "found" true
     (List.mem "rule1:ventilator" (kinds r) || List.mem "rule1:laser" (kinds r))
 
+let test_no_lease_first_not_exhaustive () =
+  (* the search stops with states still queued: not a full coverage *)
+  let r =
+    Pte_mc.Reach.check_pattern ~lease:false
+      ~config:{ Pte_mc.Reach.default_config with stop_at_first = true }
+      p
+  in
+  Alcotest.(check int) "states" 525 r.Pte_mc.Reach.states;
+  Alcotest.(check int) "transitions" 1313 r.Pte_mc.Reach.transitions;
+  Alcotest.(check bool) "not exhausted" false r.Pte_mc.Reach.exhausted
+
+let test_pinned_counts () =
+  (* exact state-space shape of a bounded with-lease search: any change
+     to the zone algebra or the visited store that alters one zone moves
+     these counts *)
+  let r =
+    Pte_mc.Reach.check_pattern
+      ~config:{ Pte_mc.Reach.default_config with max_states = 10_000 }
+      p
+  in
+  Alcotest.(check int) "states" 10_001 r.Pte_mc.Reach.states;
+  Alcotest.(check int) "transitions" 35_663 r.Pte_mc.Reach.transitions;
+  Alcotest.(check int) "discrete states" 529 r.Pte_mc.Reach.discrete_states;
+  Alcotest.(check int) "max zones per key" 121 r.Pte_mc.Reach.max_zones_per_key;
+  Alcotest.(check bool) "bounded" false r.Pte_mc.Reach.exhausted
+
 let test_c5_violation_found () =
   let bad =
     {
@@ -171,5 +197,9 @@ let suite =
           test_tight_dwell_bound_violated;
         Alcotest.test_case "60s dwell bound verified in budget" `Slow
           test_generous_dwell_bound_ok;
+        Alcotest.test_case "no-lease: stop-at-first not exhaustive" `Quick
+          test_no_lease_first_not_exhaustive;
+        Alcotest.test_case "pinned counts at 10k states" `Quick
+          test_pinned_counts;
       ] );
   ]

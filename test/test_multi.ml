@@ -165,8 +165,7 @@ let test_mc_finds_no_lease_violation () =
   let spec = Rules.of_params params in
   let r =
     Pte_mc.Reach.check
-      ~config:
-        { Pte_mc.Reach.default_config with max_states = 60_000; stop_at_first = true }
+      ~config:{ Pte_mc.Reach.max_states = 60_000; stop_at_first = true }
       ~system ~spec ()
   in
   Alcotest.(check bool) "rule-1 breach found" true
