@@ -920,6 +920,117 @@ let test_reset_vs_inflight_exchange () =
   Alcotest.(check int) "all three exchanges resolved" 3
     (Transport.stats t).Transport.gave_up
 
+(* ---- adaptive safe-switch: the two ways a quiescing switch commits ----
+
+   One send from r1 at t = 0 on a perfect channel, under an adaptive
+   transport that escalates on the first lost attempt (burst = 1,
+   samples = 1, dwell = 0). The first retransmission timer is that
+   loss sample, so the escalation is decided while the exchange is
+   still in flight and the switch quiesces. It commits either when the
+   exchange resolves (drain) or at the time-out, one healthy-mode bound
+   after the decision — whichever comes first. *)
+
+let quiesce_trial ~injector ~link =
+  let star = mk_star () in
+  Link.set_injector (link star "r1") (Some injector);
+  let mode =
+    match Transport.mode_of_string "adaptive:burst=1,dwell=0,samples=1" with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let exec, t =
+    ev_harness ~dt:0.001 ~star ~mode ~rng_seed:17 ~sender:"r1"
+      ~receiver:"base" ()
+  in
+  (* each milestone with the escalations committed when it fired *)
+  let milestones = ref [] in
+  Transport.set_observer t (fun ev ->
+      milestones := (ev, (Transport.stats t).Transport.switches_up) :: !milestones);
+  ignore (Exec.inject exec ~receiver:"r1" ~root:"kick");
+  (* the first step at which [stat] moved *)
+  let first_step stat ~until =
+    let rec go () =
+      if stat (Transport.stats t) > 0 then Some (Exec.time exec)
+      else if Exec.time exec >= until then None
+      else begin
+        Exec.step exec;
+        go ()
+      end
+    in
+    go ()
+  in
+  let decided = first_step (fun s -> s.Transport.retransmissions) ~until:1.0 in
+  let committed = first_step (fun s -> s.Transport.switches_up) ~until:5.0 in
+  let get what = function
+    | Some at -> at
+    | None -> Alcotest.failf "no %s" what
+  in
+  let decided = get "retransmission" decided
+  and committed = get "committed switch" committed in
+  Exec.run exec ~until:10.0;
+  (t, decided, committed, List.rev !milestones)
+
+let healthy_bound star =
+  Transport.worst_case_latency Transport.default_config
+    ~frame_delay:(Star.worst_frame_delay star)
+
+let test_quiesce_times_out () =
+  (* every ACK lost: the exchange resolves only at its give-up timer,
+     rto(0..3) + jitter after the send, well past the time-out *)
+  let t, decided, committed, milestones =
+    quiesce_trial ~link:downlink ~injector:(fun ~time:_ ~root ->
+        if String.length root >= 4 && String.sub root 0 4 = "ack:" then
+          Link.Drop_frame
+        else Link.Pass)
+  in
+  let bound = healthy_bound (mk_star ()) in
+  (* decided at the first retransmission timer (step 0.269 s), committed
+     one healthy-mode bound (1.93 s) later *)
+  Alcotest.(check (float 1e-6)) "decided" 0.269 decided;
+  Alcotest.(check (float 1e-6)) "committed by time-out" 2.199 committed;
+  Alcotest.(check (float 0.0011)) "time-out = the outgoing mode's bound" bound
+    (committed -. decided);
+  (match milestones with
+  | [ (Transport.Exchange_delivered _, 0);
+      (Transport.Exchange_gave_up { at; _ }, up) ] ->
+      Alcotest.(check bool)
+        (Fmt.str "gave up at %.3f s, after the commit" at)
+        true (at > committed);
+      Alcotest.(check int) "already committed when it gave up" 1 up
+  | _ -> Alcotest.fail "expected one delivery, then one give-up");
+  let s = Transport.stats t in
+  Alcotest.(check int) "the late give-up does not commit again" 1
+    s.Transport.switches_up;
+  Alcotest.(check int) "no de-escalation" 0 s.Transport.switches_down
+
+let test_quiesce_drains () =
+  (* only the first data frame lost: the retransmission's ACK resolves
+     the exchange and drains the quiesce at that instant *)
+  let dropped = ref false in
+  let t, decided, committed, milestones =
+    quiesce_trial ~link:uplink ~injector:(fun ~time:_ ~root:_ ->
+        if !dropped then Link.Pass
+        else begin
+          dropped := true;
+          Link.Drop_frame
+        end)
+  in
+  Alcotest.(check (float 1e-6)) "decided" 0.269 decided;
+  (match milestones with
+  | [ (Transport.Exchange_delivered _, 0);
+      (Transport.Exchange_confirmed { at; _ }, up) ] ->
+      Alcotest.(check (float 1e-6)) "ACK of the retransmission" 0.325584 at;
+      Alcotest.(check int) "committed as the exchange resolved" 1 up;
+      Alcotest.(check (float 1e-6)) "at the step that drained it" 0.326
+        committed
+  | _ -> Alcotest.fail "expected one delivery, then one confirmation");
+  let s = Transport.stats t in
+  (* a time-out that survived the drain would commit again at
+     decided + bound, inside the 10 s run *)
+  Alcotest.(check int) "the cancelled time-out never fires" 1
+    s.Transport.switches_up;
+  Alcotest.(check int) "no de-escalation" 0 s.Transport.switches_down
+
 let suite =
   [
     ( "net.transport",
@@ -948,6 +1059,10 @@ let suite =
           test_scheduled_admission_depth;
         Alcotest.test_case "scheduled spec parsing" `Quick
           test_scheduled_spec_parsing;
+        Alcotest.test_case "adaptive switch commits at the quiesce time-out"
+          `Quick test_quiesce_times_out;
+        Alcotest.test_case "adaptive switch commits when the exchange drains"
+          `Quick test_quiesce_drains;
         QCheck_alcotest.to_alcotest prop_latency_within_bound;
         QCheck_alcotest.to_alcotest prop_bare_counter_invariants;
         QCheck_alcotest.to_alcotest prop_dedup_forward_jump;
