@@ -21,7 +21,7 @@ let smoke = ref false
    PRs. Schema: { bench, seed, params, metrics: [ {name, ..., mean,
    ci95, n} ] }. *)
 let write_bench_json ~bench ~seed ~params ~metrics =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let path = Fmt.str "BENCH_%s.json" bench in
   let json =
     J.Obj
@@ -35,7 +35,7 @@ let write_bench_json ~bench ~seed ~params ~metrics =
   Fmt.pr "wrote %s@." path
 
 let summary_fields (s : Pte_campaign.Aggregate.summary) =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   [ ("mean", J.Num s.Pte_campaign.Aggregate.mean);
     ("ci95", J.Num s.Pte_campaign.Aggregate.ci95);
     ("n", J.Num (Float.of_int s.Pte_campaign.Aggregate.n)) ]
@@ -668,7 +668,7 @@ let a1 () =
     "failures must be 0 in every with-lease cell, bare or reliable; the \
      availability gap opens as loss grows";
   Table.print table;
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let metric_rows =
     List.concat_map
       (fun (loss, (b : T.replicated), (r : T.replicated)) ->
@@ -745,7 +745,7 @@ let a2_chain_trial ~params:p ~config ~top ~horizon ~transport ~loss ~seed =
 
 let a2 () =
   let module T = Pte_tracheotomy.Trial in
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let losses, reps, horizon, chain_horizon, seed =
     if !smoke then ([ 0.0; 0.3 ], 1, 300.0, 120.0, 940)
     else ([ 0.0; 0.3; 0.6 ], 3, 1800.0, 600.0, 940)
@@ -972,7 +972,7 @@ let a2 () =
 let a3 () =
   let module T = Pte_tracheotomy.Trial in
   let module E = Pte_tracheotomy.Emulation in
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let horizon, reps, seed =
     if !smoke then (300.0, 1, 950) else (1800.0, 3, 950)
   in
@@ -1389,7 +1389,7 @@ let r1 () =
      is recovered by retransmission, so even the without-lease baseline \
      rides through";
   Table.print recovery;
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let coverage_metrics label (c : R.coverage) =
     [ J.Obj
         [ ("name", J.Str "with_lease_violations"); ("transport", J.Str label);
@@ -1478,7 +1478,7 @@ let c1 () =
     "without-lease must fail at the SPRT screen — the same budget refutes \
      the baseline.";
   Table.print table;
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let cell_metrics (cell : C.cell) =
     let label = cell.C.design.C.label in
     let screen_trials =
@@ -1782,7 +1782,7 @@ let s1_emulation ~n ~horizon ~dt ~seed =
   (events, wall)
 
 let s1_scale () =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let seed = 2024 in
   let sizes, storm_horizon, emu_horizon =
     if !smoke then ([ 4; 64 ], 0.5, 60.0) else ([ 4; 64; 256; 1024 ], 2.0, 1800.0)

@@ -221,7 +221,7 @@ let run_certify smoke target confidence particles stages min_effective
         ~finally:(fun () -> close_out oc)
         (fun () ->
           output_string oc
-            (Pte_campaign.Json.to_string (C.report_to_json report) ^ "\n")))
+            (Pte_util.Json.to_string (C.report_to_json report) ^ "\n")))
     json;
   exit (C.exit_code report)
 

@@ -1,11 +1,12 @@
 (** Online channel-health estimation from transmission outcomes.
 
-    One estimator per sender. Every transmission {e attempt}
-    contributes one binary outcome — confirmed or not, recorded at the
-    instant the sender learns it (per-attempt, so the estimate tracks
-    the channel itself rather than the residual failure rate left over
-    by whatever redundancy the current transport mode layers on top) —
-    and the estimator maintains three views of the channel at once:
+    The adaptive transport keeps one estimator, pooled over every
+    sender of the star. Every transmission {e attempt} contributes one
+    binary outcome — confirmed or not, recorded at the instant the
+    sender learns it (per-attempt, so the estimate tracks the channel
+    itself rather than the residual failure rate left over by whatever
+    redundancy the current transport mode layers on top) — and the
+    estimator maintains three views of the channel at once:
 
     - a {e windowed} confirmation rate over the last [window] outcomes
       (a ring buffer), which tracks level shifts quickly but is noisy;

@@ -1,12 +1,12 @@
 (** Online channel-health estimation from transmission outcomes: a
     windowed delivery-confirmation rate, an EWMA of the loss
     indicator, and a consecutive-loss burst detector tuned against the
-    Gilbert–Elliott interference channel. One estimator per sender;
-    feed it one sample per transmission {e attempt} at the instant the
-    outcome becomes known to the sender — per-attempt, not
-    per-exchange, so the estimate tracks the channel itself rather
-    than the residual failure rate left over by the current mode's
-    redundancy. *)
+    Gilbert–Elliott interference channel. The adaptive transport keeps
+    one, pooled over every sender; feed it one sample per transmission
+    {e attempt} at the instant the outcome becomes known to the sender
+    — per-attempt, not per-exchange, so the estimate tracks the
+    channel itself rather than the residual failure rate left over by
+    the current mode's redundancy. *)
 
 type config = {
   window : int;  (** ring-buffer size for the windowed rate (>= 1). *)

@@ -1,5 +1,7 @@
 (** JSONL checkpointing for campaign results. *)
 
+module Json = Pte_util.Json
+
 module Log = (val Logs.src_log Log.src : Logs.LOG)
 
 type header = {

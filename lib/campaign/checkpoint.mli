@@ -29,8 +29,8 @@ val make_header :
 (** A header stamped with the current {!Version.string}. *)
 
 val pp_header : Format.formatter -> header -> unit
-val header_to_json : header -> Json.t
-val header_of_json : Json.t -> header option
+val header_to_json : header -> Pte_util.Json.t
+val header_of_json : Pte_util.Json.t -> header option
 
 val read_header : string -> header option
 (** Header of the file's first line; [None] for missing or legacy

@@ -1,5 +1,7 @@
 (** Campaign job specs and completed-job records. *)
 
+module Json = Pte_util.Json
+
 type 'cell t = {
   id : int;
   cell : int;

@@ -45,7 +45,7 @@ type outcome = {
 
 val outcome_ok : outcome -> bool
 
-val outcome_to_json : outcome -> Json.t
+val outcome_to_json : outcome -> Pte_util.Json.t
 
-val outcome_of_json : Json.t -> (outcome, string) result
+val outcome_of_json : Pte_util.Json.t -> (outcome, string) result
 (** Inverse of [outcome_to_json]; [Error] on shape mismatches. *)

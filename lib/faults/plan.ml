@@ -9,7 +9,7 @@
     any violation found by a fuzzing campaign can be checked in as a
     minimal replayable artifact. *)
 
-module Json = Pte_campaign.Json
+module Json = Pte_util.Json
 
 type direction = Up | Down
 

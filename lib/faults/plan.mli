@@ -84,8 +84,8 @@ val loss_step : at:float -> loss:float -> loss_step
     [of_string (to_string p)] reconstructs [p] exactly (structural
     equality), so plans can be checked in, diffed, and replayed. *)
 
-val to_json : t -> Pte_campaign.Json.t
-val of_json : Pte_campaign.Json.t -> (t, string) result
+val to_json : t -> Pte_util.Json.t
+val of_json : Pte_util.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val save : t -> string -> unit

@@ -203,8 +203,9 @@ let of_string s =
   | "wifi", Some spec -> (
       match float_of_string_opt spec with
       | Some avg when avg <= 0.0 -> Ok Perfect
-      | Some avg -> Ok (wifi_interference ~average_loss:avg)
-      | None -> fail "loss-model: wifi expects a number, got %S" spec)
+      | Some avg when not (Float.is_nan avg) ->
+          Ok (wifi_interference ~average_loss:avg)
+      | Some _ | None -> fail "loss-model: wifi expects a number, got %S" spec)
   | "bernoulli", Some spec -> (
       match float_of_string_opt spec with
       | Some p when p >= 0.0 && p <= 1.0 -> Ok (Bernoulli p)

@@ -23,7 +23,17 @@ let validate c =
   else if c.multiplier < 1.0 then Error "transport: multiplier must be >= 1"
   else if c.cap < c.base_rto then Error "transport: cap must be >= base_rto"
   else if c.jitter < 0.0 then Error "transport: jitter must be >= 0"
-  else Ok ()
+  else
+    (* NaN passes every comparison above, and infinity the first: a
+       non-finite field would surface as a NaN timer due time *)
+    match
+      List.find_opt
+        (fun (_, v) -> not (Float.is_finite v))
+        [ ("base_rto", c.base_rto); ("multiplier", c.multiplier);
+          ("cap", c.cap); ("jitter", c.jitter) ]
+    with
+    | Some (field, _) -> Error ("transport: " ^ field ^ " must be finite")
+    | None -> Ok ()
 
 (** Configuration of the [`Adaptive] mode: which static mode carries
     traffic while the channel is healthy, the synthesis template for
@@ -123,112 +133,110 @@ type flow_seen = {
    {!Pte_sched.Schedule.link_worst_case_latency} closed-form. *)
 type sched_link = { mutable next_free : float; mutable inflight : int }
 
-(* Runtime state of the `Adaptive mode's safe-switch protocol. The
-   tier names which sub-mode carries new sends; a pending target means
-   a switch has been admitted (Theorem-1 recheck passed) and is
-   quiescing — waiting for in-flight exchanges of the outgoing mode to
-   drain, bounded by a time-out timer at the outgoing mode's own
-   worst-case latency. *)
-type adapt_target = To_healthy | To_degraded of Pte_sched.Schedule.t
+module Schedule = Pte_sched.Schedule
 
+(* How a radio send is carried. A [Scheduled] sender keeps the hashed
+   (src, dst) -> entry view of its schedule: the per-send
+   [Schedule.find] list walk is O(links) — thousands of entries on a
+   1000-entity star. *)
+type sender =
+  | Bare
+  | Reliable of config
+  | Scheduled of { sched : Schedule.t; index : Schedule.index }
+
+(* Runtime state of the `Adaptive mode's safe-switch protocol. The live
+   sender carries new sends: the healthy one, or a [Scheduled] one
+   synthesized at escalation (the degraded tier). A pending switch has
+   been admitted (Theorem-1 recheck passed) and is quiescing — waiting
+   for in-flight exchanges of the outgoing mode to drain, bounded by a
+   time-out timer at the outgoing mode's own worst-case latency. *)
 type adapt = {
-  a_cfg : adaptive_config;
-  (* per-sender estimators (inspection, tests) and the pooled one that
-     drives tier decisions: the star shares one interference
-     environment, so outcomes from every sender inform the switch. *)
-  a_est : (string, Pte_adapt.Estimator.t) Hashtbl.t;
-  a_pool : Pte_adapt.Estimator.t;
-  a_healthy_wcl : float;  (* closed-form bound of the healthy mode *)
-  mutable a_tier : Pte_adapt.Policy.tier;
-  mutable a_sched : Pte_sched.Schedule.t option;  (* while degraded *)
-  mutable a_switched_at : float;
-  mutable a_samples_since : int;  (* outcomes since the last switch *)
-  mutable a_pending : adapt_target option;  (* admitted, quiescing *)
-  mutable a_pending_token : Executor.token option;
-  mutable a_admit : (candidate_latency:float -> bool) option;
+  cfg : adaptive_config;
+  (* pooled over every sender: the star shares one interference
+     environment, so outcomes from every sender inform the switch *)
+  pool : Pte_adapt.Estimator.t;
+  healthy : sender;
+  mutable live : sender;
+  mutable switched_at : float;
+  mutable samples_since : int;  (* outcomes since the last switch *)
+  mutable pending : (sender * Executor.token) option;  (* target, time-out *)
+  mutable admit : (candidate_latency:float -> bool) option;
 }
+
+type engine = Static of sender | Adaptive of adapt
 
 type t = {
   star : Star.t;
-  mode : mode;
+  engine : engine;
   rng : Pte_util.Rng.t;
+  (* the executor whose timeline carries this transport's timers and
+     arrivals (`Reliable and `Scheduled senders). *)
+  exec : Executor.t;
   stats : stats;
   seen : (string * string, flow_seen) Hashtbl.t;
   (* per-flow end-to-end sequence counters (`Reliable mode). *)
   next_seq : (string * string, int ref) Hashtbl.t;
   (* per-sender consecutive unconfirmed sends, for degraded-safe-mode. *)
   consec : (string, int ref) Hashtbl.t;
-  (* the concrete round schedule (`Scheduled mode), synthesized from
-     the star at creation. *)
-  sched : Pte_sched.Schedule.t option;
   (* per-link reservation state (`Scheduled mode). *)
   sched_links : (string * string, sched_link) Hashtbl.t;
-  (* hashed (src, dst) -> entry view of the live schedule, keyed by the
-     schedule value itself so an adaptive re-synthesis invalidates it.
-     The per-send [Schedule.find] list walk is O(links) — thousands of
-     entries on a 1000-entity star. *)
-  mutable sched_index :
-    (Pte_sched.Schedule.t * Pte_sched.Schedule.index) option;
-  (* the executor whose timeline carries this transport's timers and
-     arrivals (`Reliable and `Scheduled modes); set by {!attach}. *)
-  mutable exec : Executor.t option;
   mutable observer : (event -> unit) option;
-  (* `Adaptive mode runtime state ([Some _] exactly in that mode). *)
-  adapt : adapt option;
   (* exchanges admitted but not yet resolved (reliable exchanges and
      scheduled blind spans) — the quiesce condition of the safe-switch
      protocol. *)
   mutable inflight_exchanges : int;
 }
 
-(* The healthy sub-mode's closed-form latency bound — what the
-   safe-switch protocol rechecks before de-escalating back to it. *)
-let healthy_wcl star = function
-  | `Bare -> Star.worst_frame_delay star
-  | `Reliable cfg ->
-      worst_case_latency cfg ~frame_delay:(Star.worst_frame_delay star)
+let live t = match t.engine with Static s -> s | Adaptive a -> a.live
 
-let create ~mode ~rng star =
-  let sched =
+(* A sender's closed-form latency bound: what the safe-switch protocol
+   rechecks before switching to it, and the quiesce deadline when
+   switching away from it. *)
+let sender_wcl star = function
+  | Bare -> Star.worst_frame_delay star
+  | Reliable cfg ->
+      worst_case_latency cfg ~frame_delay:(Star.worst_frame_delay star)
+  | Scheduled { sched; _ } -> Schedule.worst_case_latency sched
+
+let synthesize star policy =
+  Result.map
+    (fun sched -> Scheduled { sched; index = Schedule.index sched })
+    (Pte_sched.Synth.synthesize policy ~links:(Star.schedule_links star))
+
+let create ~mode ~rng ~exec star =
+  let check = function Ok () -> () | Error msg -> invalid_arg msg in
+  let engine =
     match mode with
-    | `Bare | `Adaptive _ -> None
-    | `Reliable cfg -> (
-        match validate cfg with
-        | Ok () -> None
-        | Error msg -> invalid_arg msg)
+    | `Bare -> Static Bare
+    | `Reliable cfg ->
+        check (validate cfg);
+        Static (Reliable cfg)
     | `Scheduled policy -> (
-        match
-          Pte_sched.Synth.synthesize policy ~links:(Star.schedule_links star)
-        with
-        | Ok sched -> Some sched
+        match synthesize star policy with
+        | Ok sender -> Static sender
         | Error e -> invalid_arg (Pte_sched.Synth.error_to_string e))
-  in
-  let adapt =
-    match mode with
-    | `Bare | `Reliable _ | `Scheduled _ -> None
     | `Adaptive a ->
-        (match validate_adaptive a with
-        | Ok () -> ()
-        | Error msg -> invalid_arg msg);
-        Some
+        check (validate_adaptive a);
+        let healthy =
+          match a.healthy with `Bare -> Bare | `Reliable cfg -> Reliable cfg
+        in
+        Adaptive
           {
-            a_cfg = a;
-            a_est = Hashtbl.create 8;
-            a_pool = Pte_adapt.Estimator.create a.estimator;
-            a_healthy_wcl = healthy_wcl star a.healthy;
-            a_tier = Pte_adapt.Policy.Healthy;
-            a_sched = None;
-            a_switched_at = 0.0;
-            a_samples_since = 0;
-            a_pending = None;
-            a_pending_token = None;
-            a_admit = None;
+            cfg = a;
+            pool = Pte_adapt.Estimator.create a.estimator;
+            healthy;
+            live = healthy;
+            switched_at = 0.0;
+            samples_since = 0;
+            pending = None;
+            admit = None;
           }
   in
   {
     star;
-    mode;
+    engine;
     rng;
+    exec;
     stats =
       { data_sends = 0; delivered = 0; gave_up = 0; retransmissions = 0;
         acks_sent = 0; acks_lost = 0; dups_suppressed = 0;
@@ -237,27 +245,20 @@ let create ~mode ~rng star =
     seen = Hashtbl.create 8;
     next_seq = Hashtbl.create 8;
     consec = Hashtbl.create 8;
-    sched;
     sched_links = Hashtbl.create 8;
-    sched_index = None;
-    exec = None;
     observer = None;
-    adapt;
     inflight_exchanges = 0;
   }
 
-let attach t exec = t.exec <- Some exec
 let set_observer t f = t.observer <- Some f
 let observe t ev = match t.observer with Some f -> f ev | None -> ()
 
-let mode t = t.mode
 let stats t = t.stats
 
-(* In `Adaptive mode the live schedule is the one the safe-switch
-   protocol last committed (None while healthy); the static `Scheduled
-   schedule otherwise. *)
 let schedule t =
-  match t.adapt with Some a -> a.a_sched | None -> t.sched
+  match live t with
+  | Scheduled { sched; _ } -> Some sched
+  | Bare | Reliable _ -> None
 
 let record_latency t d =
   if d > t.stats.worst_latency then t.stats.worst_latency <- d
@@ -278,127 +279,97 @@ let reset_consecutive_losses t ~sender = counter t sender := 0
 (* ------------------------------------------------------------------ *)
 
 let set_admit t f =
-  match t.adapt with
-  | Some a -> a.a_admit <- Some f
-  | None -> ()
-
-let tier t =
-  match t.adapt with Some a -> Some a.a_tier | None -> None
-
-let estimator t ~sender =
-  Option.bind t.adapt (fun a -> Hashtbl.find_opt a.a_est sender)
-
-let pooled_estimator t = Option.map (fun a -> a.a_pool) t.adapt
+  match t.engine with Adaptive a -> a.admit <- Some f | Static _ -> ()
 
 (* Theorem-1 admission of a candidate mode. The emulation layer
    injects the real c1–c7 recheck ({!set_admit}); stand-alone, the
    configured budget is the bound; with neither, every candidate is
    admitted (the static create-time story then applies unchanged). *)
 let adapt_admit a ~candidate_latency =
-  match a.a_admit with
+  match a.admit with
   | Some f -> f ~candidate_latency
   | None -> (
-      match a.a_cfg.budget with
+      match a.cfg.budget with
       | Some budget -> candidate_latency <= budget
       | None -> true)
 
-(* The outgoing mode's own worst-case latency — the quiesce deadline:
-   any exchange in flight at decision time resolves within it. *)
-let adapt_active_wcl a =
-  match (a.a_tier, a.a_sched) with
-  | Pte_adapt.Policy.Degraded, Some sched ->
-      Pte_sched.Schedule.worst_case_latency sched
-  | _ -> a.a_healthy_wcl
-
 let adapt_commit t a target ~at =
-  (match a.a_pending_token with
-  | Some token -> (
-      match t.exec with
-      | Some exec -> Executor.cancel exec token
-      | None -> ())
+  (match a.pending with
+  | Some (_, token) -> Executor.cancel t.exec token
   | None -> ());
-  a.a_pending <- None;
-  a.a_pending_token <- None;
+  a.pending <- None;
   (match target with
-  | To_degraded sched ->
-      a.a_tier <- Pte_adapt.Policy.Degraded;
-      a.a_sched <- Some sched;
-      t.stats.switches_up <- t.stats.switches_up + 1
-  | To_healthy ->
-      a.a_tier <- Pte_adapt.Policy.Healthy;
-      a.a_sched <- None;
-      t.stats.switches_down <- t.stats.switches_down + 1);
-  a.a_switched_at <- at;
-  a.a_samples_since <- 0
+  | Scheduled _ -> t.stats.switches_up <- t.stats.switches_up + 1
+  | Bare | Reliable _ -> t.stats.switches_down <- t.stats.switches_down + 1);
+  a.live <- target;
+  a.switched_at <- at;
+  a.samples_since <- 0
 
 (* A switch was admitted: commit at once if no exchange of the
-   outgoing mode is in flight, otherwise quiesce — commit when the
-   last in-flight exchange resolves, or at the outgoing mode's
-   worst-case latency if some exchange outlives its own bound (it
-   cannot, but the time-out keeps the protocol live regardless). A
-   drained `Scheduled exit is automatically round-aligned: the last
-   blind span ends at a slot boundary plus the resolution margin. *)
+   outgoing mode is in flight, otherwise quiesce — commit when the last
+   in-flight exchange resolves, or at the outgoing mode's worst-case
+   latency, whichever comes first. The time-out does fire: an ARQ
+   exchange whose ACKs are lost resolves only at its give-up timer,
+   [rto max_retries + jitter] after its last attempt, past the delivery
+   bound. Such an exchange straddles the switch, and each of its
+   deliveries still lands within the bound of the mode that admitted
+   it. A drained `Scheduled exit is automatically round-aligned: the
+   last blind span ends at a slot boundary plus the resolution
+   margin. *)
 let adapt_start_switch t a target ~at =
   if t.inflight_exchanges = 0 then adapt_commit t a target ~at
-  else begin
-    a.a_pending <- Some target;
-    match t.exec with
-    | None -> adapt_commit t a target ~at
-    | Some exec ->
-        let deadline = at +. adapt_active_wcl a in
-        let token =
-          Executor.schedule exec ~owner:"<adaptive-switch>" ~at:deadline
-            (fun _exec ->
-              a.a_pending_token <- None;
-              match a.a_pending with
-              | Some target -> adapt_commit t a target ~at:deadline
-              | None -> ())
-        in
-        a.a_pending_token <- Some token
-  end
+  else
+    let deadline = at +. sender_wcl t.star a.live in
+    let token =
+      Executor.schedule t.exec ~owner:"<adaptive-switch>" ~at:deadline
+        (fun _ ->
+          (* fired: nothing left to cancel *)
+          a.pending <- None;
+          adapt_commit t a target ~at:deadline)
+    in
+    a.pending <- Some (target, token)
 
 let adapt_refuse t a ~at =
   t.stats.switch_refusals <- t.stats.switch_refusals + 1;
   (* a refused switch re-arms the dwell clock: the next attempt waits
      another [min_dwell], so a persistently inadmissible candidate is
      retried at a bounded rate rather than on every outcome *)
-  a.a_switched_at <- at
+  a.switched_at <- at
+
+let adapt_try t a candidate ~now =
+  if adapt_admit a ~candidate_latency:(sender_wcl t.star candidate) then
+    adapt_start_switch t a candidate ~at:now
+  else adapt_refuse t a ~at:now
 
 let adapt_evaluate t a ~now =
-  if a.a_pending = None then
-    let estimate = Pte_adapt.Estimator.loss_estimate a.a_pool in
+  if Option.is_none a.pending then
+    let estimate = Pte_adapt.Estimator.loss_estimate a.pool in
+    let tier =
+      match a.live with
+      | Scheduled _ -> Pte_adapt.Policy.Degraded
+      | Bare | Reliable _ -> Pte_adapt.Policy.Healthy
+    in
     let decision =
-      Pte_adapt.Policy.decide a.a_cfg.policy ~tier:a.a_tier ~estimate
-        ~samples:a.a_samples_since ~since_switch:(now -. a.a_switched_at)
-        ~in_burst:(Pte_adapt.Estimator.in_burst a.a_pool)
+      Pte_adapt.Policy.decide a.cfg.policy ~tier ~estimate
+        ~samples:a.samples_since ~since_switch:(now -. a.switched_at)
+        ~in_burst:(Pte_adapt.Estimator.in_burst a.pool)
     in
     match decision with
     | Pte_adapt.Policy.Stay -> ()
-    | Pte_adapt.Policy.Deescalate ->
-        if adapt_admit a ~candidate_latency:a.a_healthy_wcl then
-          adapt_start_switch t a To_healthy ~at:now
-        else adapt_refuse t a ~at:now
+    | Pte_adapt.Policy.Deescalate -> adapt_try t a a.healthy ~now
     | Pte_adapt.Policy.Escalate -> (
         (* re-synthesize the round schedule for the loss the channel is
            actually showing (capped below 1 so the retry count stays
            finite); refuse — and stay in the current, still-admitted
            mode — if the synthesis or the Theorem-1 recheck rejects *)
         let policy =
-          { a.a_cfg.degraded with
-            Pte_sched.Synth.loss = Float.min estimate 0.95 }
+          { a.cfg.degraded with Pte_sched.Synth.loss = Float.min estimate 0.95 }
         in
-        match
-          Pte_sched.Synth.synthesize policy
-            ~links:(Star.schedule_links t.star)
-        with
+        match synthesize t.star policy with
         | Error _ -> adapt_refuse t a ~at:now
-        | Ok sched ->
-            let wcl = Pte_sched.Schedule.worst_case_latency sched in
-            if adapt_admit a ~candidate_latency:wcl then
-              adapt_start_switch t a (To_degraded sched) ~at:now
-            else adapt_refuse t a ~at:now)
+        | Ok candidate -> adapt_try t a candidate ~now)
 
-(* Feed the channel estimators one sample at the instant its outcome
+(* Feed the channel estimator one sample at the instant its outcome
    becomes known to the sender. Samples are per *attempt*, not per
    exchange: an ARQ exchange that needed three tries records two losses
    and a success, and a blind span records every copy's fate — so the
@@ -408,33 +379,23 @@ let adapt_evaluate t a ~now =
    channel, masking the loss the degraded schedule must be synthesized
    for — and, mirrored, a degraded mode whose spans almost always
    deliver would decay the estimate and de-escalate prematurely.) *)
-let adapt_outcome t ~sender ~confirmed ~at =
-  match t.adapt with
-  | None -> ()
-  | Some a ->
-      let est =
-        match Hashtbl.find_opt a.a_est sender with
-        | Some est -> est
-        | None ->
-            let est = Pte_adapt.Estimator.create a.a_cfg.estimator in
-            Hashtbl.add a.a_est sender est;
-            est
-      in
-      Pte_adapt.Estimator.record est ~confirmed ~at;
-      Pte_adapt.Estimator.record a.a_pool ~confirmed ~at;
-      a.a_samples_since <- a.a_samples_since + 1;
+let adapt_outcome t ~confirmed ~at =
+  match t.engine with
+  | Static _ -> ()
+  | Adaptive a ->
+      Pte_adapt.Estimator.record a.pool ~confirmed ~at;
+      a.samples_since <- a.samples_since + 1;
       adapt_evaluate t a ~now:at
 
 (* An exchange resolved: the quiesce condition of a pending switch may
    just have been reached. *)
 let exchange_resolved t ~at =
   t.inflight_exchanges <- t.inflight_exchanges - 1;
-  match t.adapt with
-  | Some a when t.inflight_exchanges = 0 -> (
-      match a.a_pending with
-      | Some target -> adapt_commit t a target ~at
-      | None -> ())
-  | _ -> ()
+  match t.engine with
+  | Adaptive ({ pending = Some (target, _); _ } as a)
+    when t.inflight_exchanges = 0 ->
+      adapt_commit t a target ~at
+  | Adaptive _ | Static _ -> ()
 
 (* High-water mark of the per-sender consecutive-loss counters: the
    deepest feedback blackout any sender saw in the trial — the
@@ -446,11 +407,11 @@ let bump t sender =
 
 let confirm t sender ~at =
   counter t sender := 0;
-  adapt_outcome t ~sender ~confirmed:true ~at
+  adapt_outcome t ~confirmed:true ~at
 
 let unconfirmed t sender ~at =
   bump t sender;
-  adapt_outcome t ~sender ~confirmed:false ~at
+  adapt_outcome t ~confirmed:false ~at
 
 (* The consecutive-loss counters alone — for outcomes that are not
    channel observations (admission rejections) or whose channel
@@ -588,24 +549,16 @@ type exchange = {
   mutable ex_resolved : bool;  (* sender side: confirmed or gave up *)
 }
 
-let require_exec t =
-  match t.exec with
-  | Some exec -> exec
-  | None ->
-      invalid_arg
-        "Transport.router: `Reliable and `Scheduled modes need \
-         Transport.attach before the first radio send"
-
 (* The ACK made it back: the sender learns the outcome, stands down the
    pending retransmission (revoking it before the channel ever sees the
    frame) and clears the consecutive-loss counter — at the instant the
    confirmation actually arrives. *)
-let resolve_confirmed t ex exec ~at =
+let resolve_confirmed t ex ~at =
   if not ex.ex_resolved then begin
     ex.ex_resolved <- true;
     (match ex.ex_timer with
     | Some token ->
-        Executor.cancel exec token;
+        Executor.cancel t.exec token;
         ex.ex_timer <- None
     | None -> ());
     exchange_resolved t ~at;
@@ -618,7 +571,7 @@ let resolve_confirmed t ex exec ~at =
    feedback loss now — when it becomes known — not at the send instant.
    Only if no copy reached (or is still flying toward) the receiver is
    the send itself lost. *)
-let resolve_gave_up t ex exec ~at =
+let resolve_gave_up t ex ~at =
   if not ex.ex_resolved then begin
     ex.ex_resolved <- true;
     ex.ex_timer <- None;
@@ -626,13 +579,13 @@ let resolve_gave_up t ex exec ~at =
     unconfirmed t ex.ex_src ~at;
     if (not ex.ex_arrived) && ex.ex_in_flight = 0 then begin
       t.stats.gave_up <- t.stats.gave_up + 1;
-      Executor.lose_now exec ~receiver:ex.ex_dst ~root:ex.ex_root
+      Executor.lose_now t.exec ~receiver:ex.ex_dst ~root:ex.ex_root
     end;
     observe t
       (Exchange_gave_up { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq; at })
   end
 
-let rec send_attempt t ex exec ~at ~attempt =
+let rec send_attempt t ex ~at ~attempt =
   if attempt > 0 then
     t.stats.retransmissions <- t.stats.retransmissions + 1;
   (match
@@ -640,12 +593,12 @@ let rec send_attempt t ex exec ~at ~attempt =
        ~root:ex.ex_root
    with
   | Link.Drop _ -> ()
-  | Link.Deliver { arrival; packet = _ } -> schedule_copy t ex exec ~arrival
+  | Link.Deliver { arrival; packet = _ } -> schedule_copy t ex ~arrival
   | Link.Deliver_dup { arrivals = a1, a2; packet = _ } ->
       (* an injected duplicate: both copies fly; the replay is squashed
          at the receiver by (src, seq) *)
-      schedule_copy t ex exec ~arrival:a1;
-      schedule_copy t ex exec ~arrival:a2);
+      schedule_copy t ex ~arrival:a1;
+      schedule_copy t ex ~arrival:a2);
   (* Arm the timer that drives the rest of the exchange: the next
      retransmission, or — after the final attempt — the give-up
      timeout. Nominal times accumulate [at +. wait] so the schedule
@@ -657,7 +610,7 @@ let rec send_attempt t ex exec ~at ~attempt =
   in
   let due = at +. wait in
   let token =
-    Executor.schedule exec ~owner:ex.ex_src ~at:due (fun exec ->
+    Executor.schedule t.exec ~owner:ex.ex_src ~at:due (fun _ ->
         ex.ex_timer <- None;
         if not ex.ex_resolved then
           if attempt < ex.ex_cfg.max_retries then begin
@@ -665,29 +618,29 @@ let rec send_attempt t ex exec ~at ~attempt =
                a per-attempt loss sample for the channel estimator (the
                exchange itself is still live, so the watchdog counter
                does not move) *)
-            adapt_outcome t ~sender:ex.ex_src ~confirmed:false ~at:due;
-            send_attempt t ex exec ~at:due ~attempt:(attempt + 1)
+            adapt_outcome t ~confirmed:false ~at:due;
+            send_attempt t ex ~at:due ~attempt:(attempt + 1)
           end
-          else resolve_gave_up t ex exec ~at:due)
+          else resolve_gave_up t ex ~at:due)
   in
   ex.ex_timer <- Some token
 
-and schedule_copy t ex exec ~arrival =
+and schedule_copy t ex ~arrival =
   ex.ex_in_flight <- ex.ex_in_flight + 1;
   ignore
-    (Executor.schedule exec ~owner:ex.ex_dst ~at:arrival (fun exec ->
-         receive t ex exec ~arrival))
+    (Executor.schedule t.exec ~owner:ex.ex_dst ~at:arrival (fun _ ->
+         receive t ex ~arrival))
 
 (* A data copy reaches the receiver: dedup by the end-to-end seq, hand
    the first fresh copy to the automaton, and acknowledge every copy on
    the reverse link (the previous ACK may be the one that got lost). *)
-and receive t ex exec ~arrival =
+and receive t ex ~arrival =
   ex.ex_in_flight <- ex.ex_in_flight - 1;
   if fresh t ~src:ex.ex_src ~dst:ex.ex_dst ~seq:ex.ex_seq then begin
     ex.ex_arrived <- true;
     t.stats.delivered <- t.stats.delivered + 1;
     record_latency t (arrival -. ex.ex_sent_at);
-    ignore (Executor.deliver_now exec ~receiver:ex.ex_dst ~root:ex.ex_root);
+    ignore (Executor.deliver_now t.exec ~receiver:ex.ex_dst ~root:ex.ex_root);
     observe t
       (Exchange_delivered
          { src = ex.ex_src; dst = ex.ex_dst; seq = ex.ex_seq;
@@ -698,7 +651,7 @@ and receive t ex exec ~arrival =
   match ex.ex_ack_link with
   | None ->
       (* no radio reverse path: treat the ACK as wired *)
-      resolve_confirmed t ex exec ~at:arrival
+      resolve_confirmed t ex ~at:arrival
   | Some back -> (
       match
         Link.send back ~time:arrival ~src:ex.ex_dst ~dst:ex.ex_src
@@ -708,11 +661,10 @@ and receive t ex exec ~arrival =
       | Link.Deliver { arrival = ack_at; packet = _ }
       | Link.Deliver_dup { arrivals = ack_at, _; packet = _ } ->
           ignore
-            (Executor.schedule exec ~owner:ex.ex_src ~at:ack_at (fun exec ->
-                 resolve_confirmed t ex exec ~at:ack_at)))
+            (Executor.schedule t.exec ~owner:ex.ex_src ~at:ack_at (fun _ ->
+                 resolve_confirmed t ex ~at:ack_at)))
 
 let reliable_send t cfg link ~time ~sender ~receiver ~root =
-  let exec = require_exec t in
   t.stats.data_sends <- t.stats.data_sends + 1;
   t.inflight_exchanges <- t.inflight_exchanges + 1;
   let seq = flow_seq t ~src:sender ~dst:receiver in
@@ -735,24 +687,12 @@ let reliable_send t cfg link ~time ~sender ~receiver ~root =
       ex_resolved = false;
     }
   in
-  send_attempt t ex exec ~at:time ~attempt:0;
+  send_attempt t ex ~at:time ~attempt:0;
   Executor.Deferred
 
 (* ------------------------------------------------------------------ *)
 (* `Scheduled mode: time-triggered blind transmission (TTW-style)      *)
 (* ------------------------------------------------------------------ *)
-
-module Schedule = Pte_sched.Schedule
-
-(* The cached index of the live schedule, rebuilt when the schedule
-   value changes (adaptive escalation synthesizes a fresh one). *)
-let sched_index t sched =
-  match t.sched_index with
-  | Some (s, idx) when s == sched -> idx
-  | _ ->
-      let idx = Schedule.index sched in
-      t.sched_index <- Some (sched, idx);
-      idx
 
 let sched_link_state t ~sender ~receiver =
   match Hashtbl.find_opt t.sched_links (sender, receiver) with
@@ -790,12 +730,12 @@ type sched_send = {
   mutable ss_arrived : bool;  (* a fresh copy reached the automaton *)
 }
 
-let sched_receive t ss exec ~arrival =
+let sched_receive t ss ~arrival =
   if fresh t ~src:ss.ss_src ~dst:ss.ss_dst ~seq:ss.ss_seq then begin
     ss.ss_arrived <- true;
     t.stats.delivered <- t.stats.delivered + 1;
     record_latency t (arrival -. ss.ss_sent_at);
-    ignore (Executor.deliver_now exec ~receiver:ss.ss_dst ~root:ss.ss_root);
+    ignore (Executor.deliver_now t.exec ~receiver:ss.ss_dst ~root:ss.ss_root);
     observe t
       (Exchange_delivered
          { src = ss.ss_src; dst = ss.ss_dst; seq = ss.ss_seq;
@@ -807,34 +747,34 @@ let sched_receive t ss exec ~arrival =
    simulation affords — the same instant-of-knowledge convention `Bare
    mode uses at the send), so the estimate keeps tracking the channel
    while the span-level residual failure rate sits near zero. *)
-let sched_copy t ss exec ~at ~copy =
+let sched_copy t ss ~at ~copy =
   if copy > 0 then t.stats.retransmissions <- t.stats.retransmissions + 1;
   match
     Link.send ss.ss_link ~time:at ~src:ss.ss_src ~dst:ss.ss_dst
       ~root:ss.ss_root
   with
-  | Link.Drop _ -> adapt_outcome t ~sender:ss.ss_src ~confirmed:false ~at
+  | Link.Drop _ -> adapt_outcome t ~confirmed:false ~at
   | Link.Deliver { arrival; packet = _ } ->
-      adapt_outcome t ~sender:ss.ss_src ~confirmed:true ~at;
+      adapt_outcome t ~confirmed:true ~at;
       ignore
-        (Executor.schedule exec ~owner:ss.ss_dst ~at:arrival (fun exec ->
-             sched_receive t ss exec ~arrival))
+        (Executor.schedule t.exec ~owner:ss.ss_dst ~at:arrival (fun _ ->
+             sched_receive t ss ~arrival))
   | Link.Deliver_dup { arrivals = a1, a2; packet = _ } ->
       (* an injected duplicate: both copies fly; the replay is squashed
          at the receiver by (src, seq) *)
-      adapt_outcome t ~sender:ss.ss_src ~confirmed:true ~at;
+      adapt_outcome t ~confirmed:true ~at;
       List.iter
         (fun arrival ->
           ignore
-            (Executor.schedule exec ~owner:ss.ss_dst ~at:arrival (fun exec ->
-                 sched_receive t ss exec ~arrival)))
+            (Executor.schedule t.exec ~owner:ss.ss_dst ~at:arrival (fun _ ->
+                 sched_receive t ss ~arrival)))
         [ a1; a2 ]
 
 (* The blind span is over: the sender learns the outcome. There is no
    feedback channel, so "confirmed" is the oracle view the simulation
    affords (a copy reached the receiver) — the same instant-of-knowledge
    convention `Bare mode uses at the send. *)
-let sched_resolve t ss st exec ~at =
+let sched_resolve t ss st ~at =
   st.inflight <- st.inflight - 1;
   exchange_resolved t ~at;
   (* the copies already fed the estimator one sample each from
@@ -848,16 +788,15 @@ let sched_resolve t ss st exec ~at =
   else begin
     consec_unconfirmed t ss.ss_src;
     t.stats.gave_up <- t.stats.gave_up + 1;
-    Executor.lose_now exec ~receiver:ss.ss_dst ~root:ss.ss_root;
+    Executor.lose_now t.exec ~receiver:ss.ss_dst ~root:ss.ss_root;
     observe t
       (Exchange_gave_up
          { src = ss.ss_src; dst = ss.ss_dst; seq = ss.ss_seq; at })
   end
 
-let scheduled_send t sched link ~time ~sender ~receiver ~root =
-  let exec = require_exec t in
+let scheduled_send t sched index link ~time ~sender ~receiver ~root =
   t.stats.data_sends <- t.stats.data_sends + 1;
-  match Schedule.find_indexed (sched_index t sched) ~src:sender ~dst:receiver with
+  match Schedule.find_indexed index ~src:sender ~dst:receiver with
   | None ->
       (* every star link is scheduled at synthesis; unreachable unless
          the topology grew after creation — fail as a plain loss *)
@@ -898,13 +837,13 @@ let scheduled_send t sched link ~time ~sender ~receiver ~root =
         for copy = 0 to entry.Schedule.retries do
           let at = first +. (Float.of_int copy *. period) in
           ignore
-            (Executor.schedule exec ~owner:sender ~at (fun exec ->
-                 sched_copy t ss exec ~at ~copy))
+            (Executor.schedule t.exec ~owner:sender ~at (fun _ ->
+                 sched_copy t ss ~at ~copy))
         done;
         let resolve_at = first +. span +. (2.0 *. sched.Schedule.slot_len) in
         ignore
-          (Executor.schedule exec ~owner:sender ~at:resolve_at (fun exec ->
-               sched_resolve t ss st exec ~at:resolve_at));
+          (Executor.schedule t.exec ~owner:sender ~at:resolve_at (fun _ ->
+               sched_resolve t ss st ~at:resolve_at));
         Executor.Deferred
       end
 
@@ -918,210 +857,123 @@ let router t : Executor.router =
   | Wired -> Executor.Deliver 0.0
   | No_route -> Executor.Lose
   | Radio link -> (
-      match t.mode with
-      | `Bare -> bare_send t link ~time ~sender ~receiver ~root
-      | `Reliable cfg -> reliable_send t cfg link ~time ~sender ~receiver ~root
-      | `Scheduled _ ->
-          let sched =
-            match t.sched with
-            | Some sched -> sched
-            | None -> assert false (* synthesized in create *)
-          in
-          scheduled_send t sched link ~time ~sender ~receiver ~root
-      | `Adaptive _ -> (
-          let a =
-            match t.adapt with
-            | Some a -> a
-            | None -> assert false (* constructed in create *)
-          in
-          match a.a_tier with
-          | Pte_adapt.Policy.Healthy -> (
-              match a.a_cfg.healthy with
-              | `Bare -> bare_send t link ~time ~sender ~receiver ~root
-              | `Reliable cfg ->
-                  reliable_send t cfg link ~time ~sender ~receiver ~root)
-          | Pte_adapt.Policy.Degraded ->
-              let sched =
-                match a.a_sched with
-                | Some sched -> sched
-                | None -> assert false (* set by adapt_commit *)
-              in
-              scheduled_send t sched link ~time ~sender ~receiver ~root))
+      match live t with
+      | Bare -> bare_send t link ~time ~sender ~receiver ~root
+      | Reliable cfg -> reliable_send t cfg link ~time ~sender ~receiver ~root
+      | Scheduled { sched; index } ->
+          scheduled_send t sched index link ~time ~sender ~receiver ~root)
 
 (* ------------------------------------------------------------------ *)
 (* CLI spec parsing                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+(* A spec-string key and how its value updates one mode's
+   configuration. *)
+type 'a key = string * (string -> 'a -> ('a, string) result)
+
+let num k set : 'a key =
+  ( k,
+    fun v acc ->
+      match float_of_string_opt v with
+      | Some f -> Ok (set acc f)
+      | None -> fail "transport: %s expects a number, got %S" k v )
+
+let int k set : 'a key =
+  ( k,
+    fun v acc ->
+      match int_of_string_opt v with
+      | Some n -> Ok (set acc n)
+      | None -> fail "transport: %s expects an integer, got %S" k v )
+
+let reliable_keys : config key list =
+  [ int "retries" (fun c n -> { c with max_retries = n });
+    num "rto" (fun c f -> { c with base_rto = f });
+    num "multiplier" (fun c f -> { c with multiplier = f });
+    num "cap" (fun c f -> { c with cap = f });
+    num "jitter" (fun c f -> { c with jitter = f }) ]
+
+let scheduled_keys : Pte_sched.Synth.policy key list =
+  [ num "slot" (fun p f -> { p with Pte_sched.Synth.slot_len = Some f });
+    int "retries" (fun p n -> { p with Pte_sched.Synth.retries = Some n });
+    num "loss" (fun p f -> { p with Pte_sched.Synth.loss = f });
+    num "confidence" (fun p f -> { p with Pte_sched.Synth.confidence = f });
+    int "depth" (fun p n -> { p with Pte_sched.Synth.depth = n });
+    num "budget" (fun p f -> { p with Pte_sched.Synth.budget = Some f }) ]
+
+let adaptive_keys : adaptive_config key list =
+  let policy a set = { a with policy = set a.policy } in
+  let estimator a set = { a with estimator = set a.estimator } in
+  [ ( "healthy",
+      fun v a ->
+        match v with
+        | "bare" -> Ok { a with healthy = `Bare }
+        | "reliable" -> Ok { a with healthy = `Reliable default_config }
+        | _ -> fail "transport: healthy expects bare or reliable, got %S" v );
+    num "degrade" (fun a f ->
+        policy a (fun p -> { p with Pte_adapt.Policy.degrade_above = f }));
+    num "recover" (fun a f ->
+        policy a (fun p -> { p with Pte_adapt.Policy.recover_below = f }));
+    num "dwell" (fun a f ->
+        policy a (fun p -> { p with Pte_adapt.Policy.min_dwell = f }));
+    int "samples" (fun a n ->
+        policy a (fun p -> { p with Pte_adapt.Policy.min_samples = n }));
+    int "window" (fun a n ->
+        estimator a (fun e -> { e with Pte_adapt.Estimator.window = n }));
+    int "burst" (fun a n ->
+        estimator a (fun e -> { e with Pte_adapt.Estimator.burst_k = n }));
+    num "budget" (fun a f -> { a with budget = Some f }) ]
+
+(* Fold a comma-separated [key=value] list over [init], stopping at the
+   first bad field. *)
+let parse_fields (keys : 'a key list) init spec =
+  List.fold_left
+    (fun acc kv ->
+      Result.bind acc (fun acc ->
+          match String.index_opt kv '=' with
+          | None -> fail "transport: expected key=value, got %S" kv
+          | Some i -> (
+              let k = String.sub kv 0 i in
+              let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+              match List.assoc_opt k keys with
+              | Some set -> set v acc
+              | None ->
+                  fail "transport: unknown key %S (expected %s)" k
+                    (String.concat "|" (List.map fst keys)))))
+    (Ok init)
+    (String.split_on_char ',' spec)
+
 let mode_of_string s =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let parse_sched_fields spec =
-    let field (p : Pte_sched.Synth.policy) kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
-            match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          (match k with
-          | "retries" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { p with Pte_sched.Synth.retries = Some n }
-              | None -> fail "transport: retries expects an integer, got %S" v)
-          | "depth" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { p with Pte_sched.Synth.depth = n }
-              | None -> fail "transport: depth expects an integer, got %S" v)
-          | "slot" -> num (fun f -> { p with Pte_sched.Synth.slot_len = Some f })
-          | "loss" -> num (fun f -> { p with Pte_sched.Synth.loss = f })
-          | "confidence" ->
-              num (fun f -> { p with Pte_sched.Synth.confidence = f })
-          | "budget" -> num (fun f -> { p with Pte_sched.Synth.budget = Some f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 slot|retries|loss|confidence|depth|budget)"
-                k)
-    in
-    let rec go p = function
-      | [] -> Ok (`Scheduled p)
-      | kv :: rest -> (
-          match field p kv with Ok p -> go p rest | Error _ as e -> e)
-    in
-    go Pte_sched.Synth.default_policy (String.split_on_char ',' spec)
+  let head, spec =
+    match String.index_opt s ':' with
+    | None -> (s, None)
+    | Some i ->
+        let rest = String.sub s (i + 1) (String.length s - i - 1) in
+        (String.sub s 0 i, Some rest)
   in
-  let parse_fields spec =
-    let field cfg kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
-            match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          (match k with
-          | "retries" -> (
-              match int_of_string_opt v with
-              | Some n -> Ok { cfg with max_retries = n }
-              | None -> fail "transport: retries expects an integer, got %S" v)
-          | "rto" -> num (fun f -> { cfg with base_rto = f })
-          | "multiplier" -> num (fun f -> { cfg with multiplier = f })
-          | "cap" -> num (fun f -> { cfg with cap = f })
-          | "jitter" -> num (fun f -> { cfg with jitter = f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 retries|rto|multiplier|cap|jitter)"
-                k)
-    in
-    let rec go cfg = function
-      | [] -> (
-          match validate cfg with
-          | Ok () -> Ok (`Reliable cfg)
-          | Error msg -> Error msg)
-      | kv :: rest -> (
-          match field cfg kv with Ok cfg -> go cfg rest | Error _ as e -> e)
-    in
-    go default_config (String.split_on_char ',' spec)
+  let fields keys init =
+    match spec with None -> Ok init | Some spec -> parse_fields keys init spec
   in
-  let parse_adaptive_fields spec =
-    let field (a : adaptive_config) kv =
-      match String.index_opt kv '=' with
-      | None -> fail "transport: expected key=value, got %S" kv
-      | Some i ->
-          let k = String.sub kv 0 i in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let num set =
-            match float_of_string_opt v with
-            | Some f -> Ok (set f)
-            | None -> fail "transport: %s expects a number, got %S" k v
-          in
-          let int set =
-            match int_of_string_opt v with
-            | Some n -> Ok (set n)
-            | None -> fail "transport: %s expects an integer, got %S" k v
-          in
-          (match k with
-          | "healthy" -> (
-              match v with
-              | "bare" -> Ok { a with healthy = `Bare }
-              | "reliable" -> Ok { a with healthy = `Reliable default_config }
-              | _ ->
-                  fail "transport: healthy expects bare or reliable, got %S" v)
-          | "degrade" ->
-              num (fun f ->
-                  { a with
-                    policy =
-                      { a.policy with Pte_adapt.Policy.degrade_above = f } })
-          | "recover" ->
-              num (fun f ->
-                  { a with
-                    policy =
-                      { a.policy with Pte_adapt.Policy.recover_below = f } })
-          | "dwell" ->
-              num (fun f ->
-                  { a with
-                    policy = { a.policy with Pte_adapt.Policy.min_dwell = f } })
-          | "samples" ->
-              int (fun n ->
-                  { a with
-                    policy = { a.policy with Pte_adapt.Policy.min_samples = n } })
-          | "window" ->
-              int (fun n ->
-                  { a with
-                    estimator =
-                      { a.estimator with Pte_adapt.Estimator.window = n } })
-          | "burst" ->
-              int (fun n ->
-                  { a with
-                    estimator =
-                      { a.estimator with Pte_adapt.Estimator.burst_k = n } })
-          | "budget" -> num (fun f -> { a with budget = Some f })
-          | _ ->
-              fail
-                "transport: unknown key %S (expected \
-                 healthy|degrade|recover|dwell|samples|window|burst|budget)"
-                k)
-    in
-    let rec go a = function
-      | [] -> (
-          match validate_adaptive a with
-          | Ok () -> Ok (`Adaptive a)
-          | Error msg -> Error msg)
-      | kv :: rest -> (
-          match field a kv with Ok a -> go a rest | Error _ as e -> e)
-    in
-    go default_adaptive (String.split_on_char ',' spec)
-  in
-  match String.index_opt s ':' with
-  | None -> (
-      match s with
-      | "bare" -> Ok `Bare
-      | "reliable" -> Ok (`Reliable default_config)
-      | "scheduled" -> Ok (`Scheduled Pte_sched.Synth.default_policy)
-      | "adaptive" -> Ok (`Adaptive default_adaptive)
-      | _ ->
-          fail
-            "unknown transport %S (expected bare, reliable[:k=v,...], \
-             scheduled[:k=v,...] or adaptive[:k=v,...])"
-            s)
-  | Some i ->
-      let head = String.sub s 0 i in
-      let spec = String.sub s (i + 1) (String.length s - i - 1) in
-      if String.equal head "reliable" then parse_fields spec
-      else if String.equal head "scheduled" then parse_sched_fields spec
-      else if String.equal head "adaptive" then parse_adaptive_fields spec
-      else
-        fail
-          "unknown transport %S (expected bare, reliable[:k=v,...], \
-           scheduled[:k=v,...] or adaptive[:k=v,...])"
-          head
+  let ( let* ) = Result.bind in
+  match head with
+  | "bare" when spec = None -> Ok `Bare
+  | "reliable" ->
+      let* cfg = fields reliable_keys default_config in
+      let* () = validate cfg in
+      Ok (`Reliable cfg)
+  | "scheduled" ->
+      let* p = fields scheduled_keys Pte_sched.Synth.default_policy in
+      Ok (`Scheduled p)
+  | "adaptive" ->
+      let* a = fields adaptive_keys default_adaptive in
+      let* () = validate_adaptive a in
+      Ok (`Adaptive a)
+  | _ ->
+      fail
+        "unknown transport %S (expected bare, reliable[:k=v,...], \
+         scheduled[:k=v,...] or adaptive[:k=v,...])"
+        head
 
 let pp_config ppf c =
   Fmt.pf ppf "retries:%d rto:%gs x%g cap:%gs jitter:%gs" c.max_retries

@@ -61,7 +61,8 @@ val default_config : config
 
 val validate : config -> (unit, string) result
 (** Well-formedness: [max_retries >= 0], positive [base_rto],
-    [multiplier >= 1], [cap >= base_rto], [jitter >= 0]. *)
+    [multiplier >= 1], [cap >= base_rto], [jitter >= 0], and every
+    float field finite. *)
 
 (** Configuration of the [`Adaptive] mode: which static mode carries
     traffic while the channel is healthy, the synthesis template for
@@ -95,10 +96,9 @@ type mode =
     and counted as [gave_up] — the protocol layer above tolerates loss,
     and rejecting is what keeps the bound closed-form. Like [`Bare],
     the mode never draws from the transport [rng]; like [`Reliable],
-    it runs event-driven on the executor's timer queue and needs
-    {!attach}. Injected [Delay_frame] faults sit outside the
-    synthesized bound, exactly as they sit outside
-    {!worst_case_latency}.
+    it runs event-driven on the executor's timer queue. Injected
+    [Delay_frame] faults sit outside the synthesized bound, exactly as
+    they sit outside {!worst_case_latency}.
 
     [`Adaptive] switches between a healthy sub-mode and the degraded
     [`Scheduled] sub-mode at runtime, driven by an online
@@ -110,11 +110,15 @@ type mode =
     configured [budget]) {e before} committing; an inadmissible
     candidate is refused — the transport stays in its current,
     still-admitted mode and counts a [switch_refusals]. An admitted
-    switch first quiesces: in-flight exchanges of the outgoing mode
-    drain (bounded by that mode's own worst-case latency on the
-    executor's revocable timer queue), so no exchange ever straddles
-    two modes, and a [`Scheduled] exit is automatically round-aligned.
-    Needs {!attach} regardless of the healthy sub-mode. *)
+    switch first quiesces: it commits when the in-flight exchanges of
+    the outgoing mode have drained, or at that mode's own worst-case
+    latency, whichever comes first (a revocable timer on the
+    executor's queue). A drained [`Scheduled] exit is automatically
+    round-aligned. The time-out fires when an ARQ exchange's ACKs are
+    lost: the exchange resolves only at its give-up timer, past the
+    delivery bound, and so straddles the switch — each of its
+    deliveries still lands within the bound of the mode that admitted
+    it. *)
 
 val default_adaptive : adaptive_config
 (** [`Reliable default_config] while healthy (indistinguishable from
@@ -193,8 +197,11 @@ type stats = {
 
 type t
 
-val create : mode:mode -> rng:Pte_util.Rng.t -> Star.t -> t
-(** In [`Bare] and [`Scheduled] modes the transport never draws from
+val create :
+  mode:mode -> rng:Pte_util.Rng.t -> exec:Pte_hybrid.Executor.t -> Star.t -> t
+(** [exec] is the executor whose timeline carries the transport's
+    timers and arrivals; {!router} is meant to be its router. In
+    [`Bare] and [`Scheduled] modes the transport never draws from
     [rng] (legacy RNG streams are untouched); [`Reliable _] keys one
     private jitter stream per exchange off it. A [`Reliable] config is
     {!validate}d and a [`Scheduled] policy is synthesized against the
@@ -202,13 +209,6 @@ val create : mode:mode -> rng:Pte_util.Rng.t -> Star.t -> t
     ill-formed config or a failed synthesis raises [Invalid_argument]
     with the reason. *)
 
-val attach : t -> Pte_hybrid.Executor.t -> unit
-(** Bind the executor whose timeline carries the transport's timers and
-    arrivals. Required before the first [`Reliable] or [`Scheduled]
-    radio send (the engine does this when it wires the router);
-    [`Bare] mode never needs it. *)
-
-val mode : t -> mode
 val stats : t -> stats
 
 val schedule : t -> Pte_sched.Schedule.t option
@@ -231,24 +231,11 @@ val set_admit : t -> (candidate_latency:float -> bool) -> unit
     configured [budget] bounds admission; with neither, every
     candidate is admitted. No-op outside [`Adaptive] mode. *)
 
-val tier : t -> Pte_adapt.Policy.tier option
-(** The current tier — [Some _] exactly in [`Adaptive] mode. *)
-
-val estimator : t -> sender:string -> Pte_adapt.Estimator.t option
-(** The per-sender channel-health estimator ([`Adaptive] mode; [None]
-    until [sender]'s first resolved exchange). *)
-
-val pooled_estimator : t -> Pte_adapt.Estimator.t option
-(** The pooled estimator that drives tier decisions — the star shares
-    one interference environment, so outcomes from every sender inform
-    the switch. [Some _] exactly in [`Adaptive] mode. *)
-
 val router : t -> Pte_hybrid.Executor.router
 (** The executor transport hook. Non-star automata stay wired;
     remote-to-remote sends are dropped and counted, as in
-    {!Star.router}. In [`Reliable _] mode radio sends answer
-    [Deferred] and run event-driven (see above); raises
-    [Invalid_argument] if {!attach} has not been called. *)
+    {!Star.router}. In [`Reliable _] and [`Scheduled _] modes radio
+    sends answer [Deferred] and run event-driven (see above). *)
 
 (** {2 Exchange observation}
 

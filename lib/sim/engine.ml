@@ -44,8 +44,7 @@ let create ?(config = Executor.default_config) ?net
           | `Reliable _ | `Scheduled _ | `Adaptive _ ->
               Pte_util.Rng.split rng
         in
-        let t = Pte_net.Transport.create ~mode:transport ~rng:trng star in
-        Pte_net.Transport.attach t exec;
+        let t = Pte_net.Transport.create ~mode:transport ~rng:trng ~exec star in
         Executor.set_router exec (Pte_net.Transport.router t);
         Some t
   in

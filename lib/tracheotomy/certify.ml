@@ -229,7 +229,7 @@ let pp_report ppf r =
      else "FAIL")
 
 let report_to_json r =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let stage_json (st : Split.stage) =
     J.Obj
       [

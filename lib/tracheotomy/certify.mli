@@ -98,6 +98,6 @@ val exit_code : report -> int
 val pp_cell : cell Fmt.t
 val pp_report : report Fmt.t
 
-val report_to_json : report -> Pte_campaign.Json.t
+val report_to_json : report -> Pte_util.Json.t
 (** For bench artifacts: per-cell verdicts, bounds, stage levels and
     effective trials. *)

@@ -214,7 +214,7 @@ let artifact_config a =
 let replay a = Trial.run (artifact_config a)
 
 let artifact_to_json a =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   J.Obj
     [
       ("type", J.Str "pte-fault-artifact");
@@ -226,7 +226,7 @@ let artifact_to_json a =
     ]
 
 let artifact_of_json json =
-  let module J = Pte_campaign.Json in
+  let module J = Pte_util.Json in
   let ( let* ) = Result.bind in
   match json with
   | J.Obj members ->
@@ -255,10 +255,10 @@ let artifact_of_json json =
       Ok { plan; trial_seed = int_of_float trial_seed; horizon; lease; failures }
   | _ -> Error "artifact: expected a JSON object"
 
-let artifact_to_string a = Pte_campaign.Json.to_string (artifact_to_json a)
+let artifact_to_string a = Pte_util.Json.to_string (artifact_to_json a)
 
 let artifact_of_string s =
-  Result.bind (Pte_campaign.Json.of_string s) artifact_of_json
+  Result.bind (Pte_util.Json.of_string s) artifact_of_json
 
 let save_artifact a path =
   let oc = open_out path in

@@ -2,6 +2,7 @@
    worker-count determinism, retry/degradation, checkpoint/resume. *)
 
 open Pte_campaign
+module Json = Pte_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                                *)

@@ -31,6 +31,13 @@ let downlink star remote =
   | Some l -> l
   | None -> Alcotest.failf "no downlink for %s" remote
 
+(* A transport whose router the test calls directly. Its executor is
+   never run, so an empty system serves. *)
+let create_direct ~mode ~rng star =
+  Transport.create ~mode ~rng
+    ~exec:(Exec.create (HS.make ~name:"direct" []))
+    star
+
 (* ---- policy arithmetic ---- *)
 
 let test_rto_schedule () =
@@ -65,7 +72,14 @@ let test_validate () =
   Alcotest.(check bool) "cap below rto" false
     (ok { d with Transport.cap = 0.1 });
   Alcotest.(check bool) "negative jitter" false
-    (ok { d with Transport.jitter = -0.01 })
+    (ok { d with Transport.jitter = -0.01 });
+  Alcotest.(check bool) "NaN jitter" false
+    (ok { d with Transport.jitter = Float.nan });
+  Alcotest.(check bool) "NaN multiplier" false
+    (ok { d with Transport.multiplier = Float.nan });
+  Alcotest.(check bool) "NaN cap" false (ok { d with Transport.cap = Float.nan });
+  Alcotest.(check bool) "infinite rto and cap" false
+    (ok { d with Transport.base_rto = Float.infinity; cap = Float.infinity })
 
 (* ---- bare mode: injected duplicates are suppressed at the receiver ---- *)
 
@@ -73,7 +87,7 @@ let test_bare_dup_suppression () =
   let star = mk_star () in
   Link.set_injector (uplink star "r1")
     (Some (fun ~time:_ ~root:_ -> Link.Duplicate_frame));
-  let t = Transport.create ~mode:`Bare ~rng:(Rng.create 2) star in
+  let t = create_direct ~mode:`Bare ~rng:(Rng.create 2) star in
   let router = Transport.router t in
   for i = 0 to 4 do
     match router ~time:(float_of_int i) ~sender:"r1" ~root:"evt" ~receiver:"base" with
@@ -114,8 +128,7 @@ let ev_harness ?(dt = 0.01) ~star ~mode ~rng_seed ~sender ~receiver () =
   let exec =
     Exec.create ~config:{ Exec.default_config with Exec.dt } system
   in
-  let t = Transport.create ~mode ~rng:(Rng.create rng_seed) star in
-  Transport.attach t exec;
+  let t = Transport.create ~mode ~rng:(Rng.create rng_seed) ~exec star in
   Exec.set_router exec (Transport.router t);
   (exec, t)
 
@@ -273,7 +286,7 @@ let test_ack_cancels_pending_retransmission () =
 let test_create_validates () =
   let star = mk_star () in
   let bad = { Transport.default_config with Transport.jitter = -0.5 } in
-  (match Transport.create ~mode:(`Reliable bad) ~rng:(Rng.create 1) star with
+  (match create_direct ~mode:(`Reliable bad) ~rng:(Rng.create 1) star with
   | exception Invalid_argument msg ->
       Alcotest.(check string) "carries the validate message"
         "transport: jitter must be >= 0" msg
@@ -403,7 +416,7 @@ let test_scheduled_spec_parsing () =
   | Ok (`Scheduled p) ->
       (* parse accepts the number; create/synthesize rejects it *)
       let star = mk_star () in
-      (match Transport.create ~mode:(`Scheduled p) ~rng:(Rng.create 1) star with
+      (match create_direct ~mode:(`Scheduled p) ~rng:(Rng.create 1) star with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "ill-formed policy must be rejected at create")
   | Error _ -> ()
@@ -565,7 +578,7 @@ let prop_bare_counter_invariants =
            (fun ~time:_ ~root:_ ->
              if Rng.bernoulli dup_rng dup_p then Link.Duplicate_frame
              else Link.Pass));
-      let t = Transport.create ~mode:`Bare ~rng:(Rng.create 2) star in
+      let t = create_direct ~mode:`Bare ~rng:(Rng.create 2) star in
       let router = Transport.router t in
       let returned = ref 0 in
       let n = 200 in
@@ -583,6 +596,125 @@ let prop_bare_counter_invariants =
       && s.Transport.delivered = !returned
       && s.Transport.dups_suppressed >= 0
       && s.Transport.acks_sent = 0)
+
+(* ---- property: the spec parsers never raise, accept only finite
+        reliable configs, and read back what pp_mode prints ---- *)
+
+let spec_gen =
+  let open QCheck.Gen in
+  let keyed =
+    [ ("reliable", [ "retries"; "rto"; "multiplier"; "cap"; "jitter" ]);
+      ("scheduled", [ "slot"; "retries"; "loss"; "confidence"; "depth"; "budget" ]);
+      ( "adaptive",
+        [ "healthy"; "degrade"; "recover"; "dwell"; "samples"; "window";
+          "burst"; "budget" ] ) ]
+  in
+  let others =
+    [ "bare"; "perfect"; "wifi"; "bernoulli"; "ge"; "interferer"; "turbo"; "" ]
+  in
+  let all_keys = "turbo" :: List.concat_map snd keyed in
+  let value =
+    frequency
+      [ (1, oneofl [ "nan"; "-nan"; "inf"; "-inf"; "1e400" ]);
+        ( 1,
+          oneofl
+            [ "0"; "1"; "3"; "-1"; "0.05"; "0.5"; "-0.5"; "2.5"; "bare";
+              "reliable"; "" ] ) ]
+  in
+  (* mostly the head's own keys, so specs get past the first field;
+     repeated keys, empty fields and stray '=' ride along *)
+  let spec head keys =
+    map
+      (fun fields -> head ^ ":" ^ String.concat "," fields)
+      (list_size (int_range 0 4)
+         (frequency
+            [ (6, map2 (fun k v -> k ^ "=" ^ v) (oneofl keys) value);
+              (1, value);
+              (1, oneofl [ "="; "=1"; "rto=1=2" ]) ]))
+  in
+  let soup =
+    map (String.concat "")
+      (list_size (int_range 0 8)
+         (oneofl
+            ([ ":"; ","; "="; "nan"; "inf"; "1e400"; "0.5" ]
+            @ List.map fst keyed @ others @ all_keys)))
+  in
+  frequency
+    [ (1, oneofl (List.map fst keyed @ others));
+      ( 6,
+        oneof
+          (List.map (fun (head, keys) -> spec head keys) keyed
+          @ List.map (fun head -> spec head all_keys) others) );
+      (2, soup) ]
+
+(* Modes whose every printed float lies on a decimal grid that %g
+   prints exactly, and whose unprinted fields are defaults. *)
+let printable_mode_gen =
+  let open QCheck.Gen in
+  let grid lo hi scale = map (fun n -> float_of_int n /. scale) (int_range lo hi) in
+  let reliable =
+    let* max_retries = int_range 0 6 in
+    let* rto_n = int_range 1 100 in
+    let* cap_n = int_range rto_n 400 in
+    let* multiplier = grid 4 12 4.0 in
+    let* jitter = grid 0 10 100.0 in
+    return
+      (`Reliable
+        { Transport.max_retries; base_rto = float_of_int rto_n /. 100.0;
+          multiplier; cap = float_of_int cap_n /. 100.0; jitter })
+  in
+  let scheduled =
+    let* loss = grid 0 99 100.0 in
+    let* confidence = grid 1 999 1000.0 in
+    let* depth = int_range 1 4 in
+    let* slot_len = opt (grid 1 200 1000.0) in
+    let* retries = opt (int_range 0 5) in
+    let* budget = opt (grid 1 50 10.0) in
+    return
+      (`Scheduled
+        { Pte_sched.Synth.loss; confidence; depth; slot_len; retries; budget })
+  in
+  let adaptive =
+    let* healthy = oneofl [ `Bare; `Reliable Transport.default_config ] in
+    let* degrade_n = int_range 2 100 in
+    let* recover_n = int_range 0 (degrade_n - 1) in
+    let* min_dwell = grid 0 120 2.0 in
+    let* budget = opt (grid 1 50 10.0) in
+    let d = Transport.default_adaptive in
+    return
+      (`Adaptive
+        { d with
+          Transport.healthy;
+          budget;
+          policy =
+            { d.Transport.policy with
+              Pte_adapt.Policy.degrade_above = float_of_int degrade_n /. 100.0;
+              recover_below = float_of_int recover_n /. 100.0;
+              min_dwell } })
+  in
+  oneof [ return `Bare; reliable; scheduled; adaptive ]
+
+let prop_spec_parsers =
+  let finite_valid (c : Transport.config) =
+    Result.is_ok (Transport.validate c)
+    && List.for_all Float.is_finite
+         Transport.[ c.base_rto; c.multiplier; c.cap; c.jitter ]
+  in
+  QCheck.Test.make
+    ~name:"spec parsers never raise, round-trip pp_mode" ~count:1000
+    (QCheck.make
+       ~print:(fun (s, m) -> Fmt.str "%S / %a" s Transport.pp_mode m)
+       (QCheck.Gen.pair spec_gen printable_mode_gen))
+    (fun (spec, mode) ->
+      ignore (Loss.of_string spec);
+      (match Transport.mode_of_string spec with
+      | Ok (`Reliable c)
+      | Ok (`Adaptive { Transport.healthy = `Reliable c; _ }) ->
+          if not (finite_valid c) then
+            QCheck.Test.fail_reportf "accepted %a" Transport.pp_config c
+      | Ok _ | Error _ -> ());
+      Transport.mode_of_string (Fmt.str "%a" Transport.pp_mode mode)
+      = Ok mode)
 
 (* ---- satellite: the dedup-window forward-jump boundary ----
 
@@ -630,7 +762,7 @@ let prop_dedup_forward_jump =
                  | `Pass -> Link.Pass
                  | `Drop -> Link.Drop_frame
                  | `Dup -> Link.Duplicate_frame)));
-      let t = Transport.create ~mode:`Bare ~rng:(Rng.create 11) star in
+      let t = create_direct ~mode:`Bare ~rng:(Rng.create 11) star in
       let router = Transport.router t in
       let delivered = ref 0 in
       List.iteri
@@ -945,7 +1077,8 @@ let quiesce_trial ~injector ~link =
   (* each milestone with the escalations committed when it fired *)
   let milestones = ref [] in
   Transport.set_observer t (fun ev ->
-      milestones := (ev, (Transport.stats t).Transport.switches_up) :: !milestones);
+      let up = (Transport.stats t).Transport.switches_up in
+      milestones := (ev, up) :: !milestones);
   ignore (Exec.inject exec ~receiver:"r1" ~root:"kick");
   (* the first step at which [stat] moved *)
   let first_step stat ~until =
@@ -1066,6 +1199,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_latency_within_bound;
         QCheck_alcotest.to_alcotest prop_bare_counter_invariants;
         QCheck_alcotest.to_alcotest prop_dedup_forward_jump;
+        QCheck_alcotest.to_alcotest prop_spec_parsers;
       ] );
     ( "tracheotomy.transport",
       [
