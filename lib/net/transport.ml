@@ -873,19 +873,15 @@ let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
    configuration. *)
 type 'a key = string * (string -> 'a -> ('a, string) result)
 
-let num k set : 'a key =
+let value what parse k set : 'a key =
   ( k,
     fun v acc ->
-      match float_of_string_opt v with
-      | Some f -> Ok (set acc f)
-      | None -> fail "transport: %s expects a number, got %S" k v )
+      match parse v with
+      | Some x -> Ok (set acc x)
+      | None -> fail "transport: %s expects %s, got %S" k what v )
 
-let int k set : 'a key =
-  ( k,
-    fun v acc ->
-      match int_of_string_opt v with
-      | Some n -> Ok (set acc n)
-      | None -> fail "transport: %s expects an integer, got %S" k v )
+let num k = value "a number" float_of_string_opt k
+let int k = value "an integer" int_of_string_opt k
 
 let reliable_keys : config key list =
   [ int "retries" (fun c n -> { c with max_retries = n });

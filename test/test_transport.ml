@@ -77,7 +77,8 @@ let test_validate () =
     (ok { d with Transport.jitter = Float.nan });
   Alcotest.(check bool) "NaN multiplier" false
     (ok { d with Transport.multiplier = Float.nan });
-  Alcotest.(check bool) "NaN cap" false (ok { d with Transport.cap = Float.nan });
+  Alcotest.(check bool) "NaN cap" false
+    (ok { d with Transport.cap = Float.nan });
   Alcotest.(check bool) "infinite rto and cap" false
     (ok { d with Transport.base_rto = Float.infinity; cap = Float.infinity })
 
