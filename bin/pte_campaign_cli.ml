@@ -212,6 +212,11 @@ let run_certify smoke target confidence particles stages min_effective
       workers;
     }
   in
+  (match C.validate config with
+  | Ok () -> ()
+  | Error e ->
+      Fmt.epr "pte-campaign: %s@." e;
+      exit Cmd.Exit.cli_error);
   let report = C.run ~config () in
   Fmt.pr "%a@." C.pp_report report;
   Option.iter

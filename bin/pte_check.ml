@@ -103,6 +103,11 @@ let report_certify ~target ~confidence ~minutes ~particles ~stages ~screen
       workers;
     }
   in
+  (match C.validate config with
+  | Ok () -> ()
+  | Error e ->
+      Fmt.epr "pte-check: %s@." e;
+      exit Cmd.Exit.cli_error);
   let report = C.run ~config () in
   Fmt.pr "%a@." C.pp_report report;
   exit (C.exit_code report)

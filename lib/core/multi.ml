@@ -16,9 +16,12 @@
     - the c3 instance of {e every} initiator k holds:
       (k−1)·T^max_wait < T^max_req < T^max_LS1 — checked by {!check}.
 
-    Remote entities that can both participate and initiate get a
-    {e dual-role} automaton: the Participant automaton and an
-    Initializer fragment (locations suffixed ["(init)"]) glued at
+    Both roles come from the pattern's own builders. The Supervisor is
+    one {!Pattern.session} per initiator (locations suffixed
+    ["@<initiator>"]) plus the Fall-Back sweep on a cancel chain of its
+    own (["@sweep"]). A remote entity that can both participate and
+    initiate gets a {e dual-role} automaton: its Participant automaton
+    and the {!Pattern.initializer_body} under ["(init)"] names, glued at
     "Fall-Back". ξN, having no entity above it, is Initializer-only. *)
 
 open Pte_hybrid
@@ -80,90 +83,10 @@ let satisfies config =
 
 let init_suffix name = name ^ " (init)"
 
-(** The Initializer fragment of a dual-role entity: a copy of the
-    Initializer behaviour with locations suffixed so they do not collide
-    with the Participant locations sharing the automaton. *)
-let initiator_fragment ?(lease = true) (p : Params.t) ~index =
-  let e = p.Params.entities.(index - 1) in
-  let me = e.Params.name in
-  let c = Pattern.clock in
-  let ge v bound = [ Guard.atom v Guard.Ge bound ] in
-  let reset_clock = Reset.set c 0.0 in
-  let flow = Flow.Rates [ (c, 1.0) ] in
-  let loc ?(kind = Location.Safe) name = Location.make ~kind ~flow (init_suffix name) in
-  let edge ?guard ?reset ?label src dst =
-    Edge.make ?guard ?reset ?label ~src ~dst ()
-  in
-  let fb = Pattern.fall_back in
-  let i name = init_suffix name in
-  let locations =
-    [
-      loc "Send Req"; loc "Requesting"; loc "Send Cancel (requesting)";
-      loc "Entering"; loc "Send Cancel (entering)"; loc "Send Exit (entering)";
-      loc ~kind:Location.Risky "Risky Core";
-      loc ~kind:Location.Risky "Send Cancel (risky)";
-      loc ~kind:Location.Risky "Send Exit (abort)";
-      loc ~kind:Location.Risky "Lease Expired";
-      loc ~kind:Location.Risky "Send Exit (expired)";
-      loc ~kind:Location.Risky "Exiting 1";
-      loc "Exiting 2";
-    ]
-  in
-  let expiry_edges =
-    if lease then
-      [
-        edge ~guard:(ge c e.Params.t_run_max) ~reset:reset_clock
-          (i "Risky Core") (i "Lease Expired");
-        edge ~label:(Label.Internal (Events.to_stop ~entity:me))
-          (i "Lease Expired") (i "Send Exit (expired)");
-        edge ~label:(Label.Send (Events.exit_up ~initializer_:me))
-          ~reset:reset_clock (i "Send Exit (expired)") (i "Exiting 1");
-      ]
-    else []
-  in
-  let edges =
-    [
-      edge ~label:(Label.Recv (Events.stim_request ~initializer_:me))
-        ~reset:reset_clock fb (i "Send Req");
-      edge ~label:(Label.Send (Events.request ~initializer_:me))
-        ~reset:reset_clock (i "Send Req") (i "Requesting");
-      edge ~label:(Label.Recv (Events.stim_cancel ~initializer_:me))
-        ~reset:reset_clock (i "Requesting") (i "Send Cancel (requesting)");
-      edge ~label:(Label.Send (Events.cancel_up ~initializer_:me))
-        ~reset:reset_clock (i "Send Cancel (requesting)") fb;
-      edge ~guard:(ge c p.Params.t_req_max) ~reset:reset_clock (i "Requesting") fb;
-      edge ~label:(Label.Recv_lossy (Events.approve ~initializer_:me))
-        ~reset:reset_clock (i "Requesting") (i "Entering");
-      edge ~label:(Label.Recv (Events.stim_cancel ~initializer_:me))
-        ~reset:reset_clock (i "Entering") (i "Send Cancel (entering)");
-      edge ~label:(Label.Send (Events.cancel_up ~initializer_:me))
-        ~reset:reset_clock (i "Send Cancel (entering)") (i "Exiting 2");
-      edge ~label:(Label.Recv_lossy (Events.abort_down ~entity:me))
-        ~reset:reset_clock (i "Entering") (i "Send Exit (entering)");
-      edge ~label:(Label.Send (Events.exit_up ~initializer_:me))
-        ~reset:reset_clock (i "Send Exit (entering)") (i "Exiting 2");
-      edge ~guard:(ge c e.Params.t_enter_max) ~reset:reset_clock (i "Entering")
-        (i "Risky Core");
-      edge ~label:(Label.Recv (Events.stim_cancel ~initializer_:me))
-        ~reset:reset_clock (i "Risky Core") (i "Send Cancel (risky)");
-      edge ~label:(Label.Send (Events.cancel_up ~initializer_:me))
-        ~reset:reset_clock (i "Send Cancel (risky)") (i "Exiting 1");
-      edge ~label:(Label.Recv_lossy (Events.abort_down ~entity:me))
-        ~reset:reset_clock (i "Risky Core") (i "Send Exit (abort)");
-      edge ~label:(Label.Send (Events.exit_up ~initializer_:me))
-        ~reset:reset_clock (i "Send Exit (abort)") (i "Exiting 1");
-    ]
-    @ expiry_edges
-    @ [
-        edge ~guard:(ge c e.Params.t_exit) ~reset:reset_clock (i "Exiting 1") fb;
-        edge ~guard:(ge c e.Params.t_exit) ~reset:reset_clock (i "Exiting 2") fb;
-      ]
-  in
-  (locations, edges)
-
-(** The dual-role automaton for entity [index]: its Participant automaton
-    (if index < N), plus the Initializer fragment when designated. ξN is
-    Initializer-only (there is nothing above it to participate for). *)
+(** The automaton of entity [index]: its Participant automaton (if
+    index < N), plus the Initializer under [init_suffix] names when
+    designated. ξN is Initializer-only (there is nothing above it to
+    participate for). *)
 let entity ?(lease = true) (config : config) ~index =
   let p = config.params in
   let n = Params.n p in
@@ -179,7 +102,9 @@ let entity ?(lease = true) (config : config) ~index =
     let participant = Pattern.participant ~lease p ~index in
     if not is_initiator then participant
     else begin
-      let locations, edges = initiator_fragment ~lease p ~index in
+      let locations, edges =
+        Pattern.initializer_body ~lease p ~index ~at:init_suffix
+      in
       {
         participant with
         Automaton.locations = participant.Automaton.locations @ locations;
@@ -189,180 +114,32 @@ let entity ?(lease = true) (config : config) ~index =
   end
 
 (* -------------------------------------------------------------------- *)
-(* Supervisor with one chain per initiator                               *)
+(* Supervisor with one session per initiator                             *)
 (* -------------------------------------------------------------------- *)
 
-let session_loc base ~initiator = base ^ " @" ^ initiator
-
+(* Fall-Back, one session per initiator (its locations suffixed
+   "@<initiator>"), and the sweep's own cancel chain through every
+   participant ("@sweep"). The sweep edge comes first, then each
+   session's request and links, then the sweep chain. *)
 let supervisor (config : config) =
   let p = config.params in
-  let n = Params.n p in
-  let name i = p.Params.entities.(i - 1).Params.name in
-  let bailout_bound = Params.risky_dwell_bound p in
-  let clock = Pattern.clock and ls = Pattern.session_clock
-  and fb_clock = Pattern.fallback_clock and approval = Pattern.approval_var in
-  let flow = Flow.Rates [ (clock, 1.0); (ls, 1.0); (fb_clock, 1.0) ] in
-  let loc location_name = Location.make ~flow location_name in
-  let ge v bound = [ Guard.atom v Guard.Ge bound ] in
-  let lt v bound = [ Guard.atom v Guard.Lt bound ] in
-  let reset_clock = Reset.set clock 0.0 in
-  let edge ?guard ?reset ?label src dst = Edge.make ?guard ?reset ?label ~src ~dst () in
-  let to_fb ?guard ?label src =
-    edge ?guard ?label
-      ~reset:[ (clock, Reset.Set_const 0.0); (fb_clock, Reset.Set_const 0.0) ]
-      src Pattern.fall_back
+  let at initiator base = base ^ " @" ^ initiator in
+  (* a session lists all its links' locations, then its cancel chain's *)
+  let grouped (chain : Pattern.chain) =
+    List.concat_map fst chain.locations @ List.concat_map snd chain.locations
   in
-  let bailout src = to_fb ~guard:(ge ls bailout_bound) src in
-  (* one grant/lease/cancel/abort chain per session (initiator); the
-     sweep is a cancel chain through all participants keyed "sweep" *)
-  let chains =
-    List.map (fun k -> (name k, k)) config.initiators @ [ ("sweep", n) ]
+  let sessions =
+    List.map
+      (fun k -> Pattern.session p ~at:(at p.Params.entities.(k - 1).Params.name) ~k)
+      config.initiators
   in
-  let grant_loc s i = session_loc (Pattern.grant_loc (name i)) ~initiator:s in
-  let lease_loc s i = session_loc (Pattern.lease_loc (name i)) ~initiator:s in
-  let send_cancel s i = session_loc (Pattern.send_cancel_loc (name i)) ~initiator:s in
-  let cancel_loc s i = session_loc (Pattern.cancel_loc (name i)) ~initiator:s in
-  let send_abort s i = session_loc (Pattern.send_abort_loc (name i)) ~initiator:s in
-  let abort_loc s i = session_loc (Pattern.abort_loc (name i)) ~initiator:s in
-  let session_locations (s, k) =
-    let is_sweep = String.equal s "sweep" in
-    (if is_sweep then []
-     else
-       List.concat
-         (List.init k (fun idx ->
-              let i = idx + 1 in
-              [ loc (grant_loc s i); loc (lease_loc s i); loc (send_abort s i);
-                loc (abort_loc s i) ])))
-    @ List.concat
-        (List.init (k - 1) (fun idx ->
-             let i = idx + 1 in
-             [ loc (send_cancel s i); loc (cancel_loc s i) ]))
-  in
-  let cancel_chain_edges (s, _k) i =
-    (* Send Cancel ξi -> Cancel ξi -> (exited) descend / retransmit *)
-    let dispatch =
-      edge ~label:(Label.Send (Events.cancel_down ~entity:(name i)))
-        ~reset:reset_clock (send_cancel s i) (cancel_loc s i)
-    in
-    let confirmed =
-      let label = Label.Recv_lossy (Events.exited_up ~participant:(name i)) in
-      if i = 1 then to_fb ~label (cancel_loc s i)
-      else edge ~label ~reset:reset_clock (cancel_loc s i) (send_cancel s (i - 1))
-    in
-    let retransmit =
-      edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock
-        (cancel_loc s i) (send_cancel s i)
-    in
-    [ dispatch; bailout (cancel_loc s i); confirmed; retransmit ]
-  in
-  let session_edges (s, k) =
-    let is_sweep = String.equal s "sweep" in
-    if is_sweep then
-      List.concat (List.init (k - 1) (fun idx -> cancel_chain_edges (s, k) (idx + 1)))
-    else begin
-      let initiator_name = s in
-      let grant_edges i =
-        let send_label =
-          if i < k then Label.Send (Events.lease_req ~participant:(name i))
-          else Label.Send (Events.approve ~initializer_:initiator_name)
-        in
-        [ edge ~label:send_label ~reset:reset_clock (grant_loc s i) (lease_loc s i) ]
-      in
-      let lease_edges i =
-        let here = lease_loc s i in
-        let abort_here =
-          edge ~guard:(lt approval 0.5) ~reset:reset_clock here (send_abort s i)
-        in
-        if i < k then
-          [
-            bailout here;
-            abort_here;
-            edge
-              ~label:(Label.Recv_lossy (Events.lease_approve ~participant:(name i)))
-              ~reset:reset_clock here
-              (grant_loc s (i + 1));
-            (if i = 1 then
-               to_fb
-                 ~label:(Label.Recv_lossy (Events.lease_deny ~participant:(name i)))
-                 here
-             else
-               edge
-                 ~label:(Label.Recv_lossy (Events.lease_deny ~participant:(name i)))
-                 ~reset:reset_clock here
-                 (send_cancel s (i - 1)));
-            edge
-              ~label:(Label.Recv_lossy (Events.cancel_up ~initializer_:initiator_name))
-              ~reset:reset_clock here (send_cancel s i);
-            edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock here
-              (send_cancel s i);
-          ]
-        else begin
-          (* granted: k = 1 sessions have no participants to cancel *)
-          let after_exit label =
-            if k = 1 then to_fb ~label here
-            else edge ~label ~reset:reset_clock here (send_cancel s (k - 1))
-          in
-          [
-            bailout here;
-            abort_here;
-            after_exit (Label.Recv_lossy (Events.cancel_up ~initializer_:initiator_name));
-            after_exit (Label.Recv_lossy (Events.exit_up ~initializer_:initiator_name));
-          ]
-        end
-      in
-      let abort_edges i =
-        let dispatch =
-          edge ~label:(Label.Send (Events.abort_down ~entity:(name i)))
-            ~reset:reset_clock (send_abort s i) (abort_loc s i)
-        in
-        let confirmation =
-          if i = k then Label.Recv_lossy (Events.exit_up ~initializer_:initiator_name)
-          else Label.Recv_lossy (Events.exited_up ~participant:(name i))
-        in
-        let confirmed =
-          if i = 1 then to_fb ~label:confirmation (abort_loc s i)
-          else edge ~label:confirmation ~reset:reset_clock (abort_loc s i)
-              (send_abort s (i - 1))
-        in
-        let retransmit =
-          edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock
-            (abort_loc s i) (send_abort s i)
-        in
-        [ dispatch; bailout (abort_loc s i); confirmed; retransmit ]
-      in
-      let request =
-        edge
-          ~label:(Label.Recv_lossy (Events.request ~initializer_:initiator_name))
-          ~guard:(ge fb_clock p.Params.t_fb_min @ ge approval 0.5)
-          ~reset:[ (clock, Reset.Set_const 0.0); (ls, Reset.Set_const 0.0) ]
-          Pattern.fall_back (grant_loc s 1)
-      in
-      request
-      :: List.concat
-           (List.init k (fun idx ->
-                let i = idx + 1 in
-                grant_edges i @ lease_edges i @ abort_edges i
-                @ if i < k then cancel_chain_edges (s, k) i else []))
-    end
-  in
-  let sweep =
-    if n >= 2 then
-      [
-        edge
-          ~guard:(lt approval 0.5 @ ge fb_clock p.Params.t_fb_min)
-          ~reset:[ (clock, Reset.Set_const 0.0); (ls, Reset.Set_const 0.0) ]
-          Pattern.fall_back
-          (send_cancel "sweep" (n - 1));
-      ]
-    else []
-  in
-  Automaton.make ~name:p.Params.supervisor
-    ~vars:[ clock; ls; fb_clock; approval ]
-    ~locations:(loc Pattern.fall_back :: List.concat_map session_locations chains)
-    ~edges:(sweep @ List.concat_map session_edges chains)
-    ~initial_location:Pattern.fall_back
-    ~initial_values:[ (approval, 1.0) ]
-    ()
+  let sweep = Pattern.cancel_chain p ~at:(at "sweep") ~k:(Params.n p) in
+  Pattern.supervisor_of p
+    ~locations:(List.concat_map (fun (_, s) -> grouped s) sessions @ grouped sweep)
+    ~edges:
+      (sweep.sweep
+      @ List.concat_map (fun (request, s) -> request :: s.Pattern.edges) sessions
+      @ sweep.edges)
 
 (** The multi-initializer hybrid system. *)
 let system ?(lease = true) (config : config) =

@@ -28,12 +28,13 @@ val satisfies : config -> bool
 
 val entity : ?lease:bool -> config -> index:int -> Automaton.t
 (** Dual-role automaton: the Participant automaton (index < N) plus, for
-    designated initiators, an Initializer fragment (locations suffixed
-    ["(init)"]) glued at "Fall-Back". ξN is Initializer-only. *)
+    designated initiators, the Initializer of {!Pattern.initializer_body}
+    (locations suffixed ["(init)"]) glued at "Fall-Back". ξN is
+    Initializer-only. *)
 
 val supervisor : config -> Automaton.t
-(** One grant/lease/cancel/abort chain per initiator, plus the
-    Fall-Back recovery sweep. *)
+(** One {!Pattern.session} per initiator, plus the Fall-Back recovery
+    sweep on a {!Pattern.cancel_chain} of its own. *)
 
 val system : ?lease:bool -> config -> System.t
 
@@ -42,4 +43,4 @@ val stimuli : config -> (string * string * string) list
     root) — for wiring scenarios. *)
 
 val init_suffix : string -> string
-(** Location-name suffixing used by the Initializer fragment. *)
+(** The names of a dual-role entity's Initializer locations. *)

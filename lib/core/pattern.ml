@@ -5,6 +5,14 @@
     ([Aptcpnt,i], Fig. 5b) — parameterized by the configuration constants
     of {!Params.t}.
 
+    The supervisor is one {e session}: the request edge out of
+    "Fall-Back", then one link per ξ1..ξN that grants, leases and aborts
+    ξi and cancels back down. {!session} builds it for any initiator ξk
+    and {!initializer_body} builds the Initializer without its
+    "Fall-Back"; both name every other location through [~at]. The
+    pattern uses them with [Fun.id]; {!Multi} builds its per-initiator
+    sessions and dual-role entities from the same two functions.
+
     Where the paper compresses a receive-then-send step into one
     "transition", we materialize its footnote 2: an intermediate
     zero-dwell location whose egress edge carries the send label
@@ -66,195 +74,208 @@ let edge ?guard ?reset ?label ?urgency src dst =
 
 (** {1 Supervisor} *)
 
-let supervisor (p : Params.t) =
-  let n = Params.n p in
-  let names =
-    Array.map (fun (e : Params.entity) -> e.Params.name) p.Params.entities
+let supervisor_flow =
+  Flow.Rates [ (clock, 1.0); (session_clock, 1.0); (fallback_clock, 1.0) ]
+
+let supervisor_loc name = Location.make ~flow:supervisor_flow name
+
+(* Leaving Fall-Back starts a session; entering it starts the cool-down. *)
+let leave_fall_back =
+  [ (clock, Reset.Set_const 0.0); (session_clock, Reset.Set_const 0.0) ]
+
+let enter_fall_back =
+  [ (clock, Reset.Set_const 0.0); (fallback_clock, Reset.Set_const 0.0) ]
+
+let approval_fails = lt approval_var 0.5
+
+type chain = {
+  sweep : Edge.t list;
+  edges : Edge.t list;
+  locations : (Location.t list * Location.t list) list;
+}
+
+(* The names [at (loc ξi)] of links 1..k, each built once. Index 0 is
+   "Fall-Back", where every descent ends. *)
+let chain_names (p : Params.t) ~at ~k loc =
+  Array.init (k + 1) (fun i ->
+      if i = 0 then fall_back else at (loc p.Params.entities.(i - 1).Params.name))
+
+(* Leave link ξi down to [below.(i − 1)]: the link under it, or
+   Fall-Back (restarting the cool-down) from ξ1. *)
+let descend ~label src below i =
+  edge ~label ~reset:(if i = 1 then enter_fall_back else reset_clock) src
+    below.(i - 1)
+
+(* The session bailout, its guard built once per chain. *)
+let bailout (p : Params.t) =
+  let guard = ge session_clock (Params.risky_dwell_bound p) in
+  fun src -> edge ~guard ~reset:enter_fall_back src fall_back
+
+(* The cancel links of ξ1..ξk−1, under [at]: their entry names, and per
+   link ξi its edges — send the cancel, descend on ξi's exited
+   confirmation, retransmit every T^max_wait — and its locations. *)
+let cancels (p : Params.t) ~at ~k ~bailout ~waited =
+  let send_cancel = chain_names p ~at ~k:(k - 1) send_cancel_loc in
+  let cancel = chain_names p ~at ~k:(k - 1) cancel_loc in
+  let edges i =
+    let me = p.Params.entities.(i - 1).Params.name in
+    [
+      edge ~label:(Label.Send (Events.cancel_down ~entity:me))
+        ~reset:reset_clock send_cancel.(i) cancel.(i);
+      bailout cancel.(i);
+      descend ~label:(Label.Recv_lossy (Events.exited_up ~participant:me))
+        cancel.(i) send_cancel i;
+      edge ~guard:waited ~reset:reset_clock cancel.(i) send_cancel.(i);
+    ]
   in
-  let name i = names.(i - 1) (* 1-based, like the paper *) in
-  let initializer_name = name n in
-  let bailout_bound = Params.risky_dwell_bound p in
-  let flow =
-    Flow.Rates [ (clock, 1.0); (session_clock, 1.0); (fallback_clock, 1.0) ]
+  (send_cancel, edges, fun i -> [ supervisor_loc send_cancel.(i); supervisor_loc cancel.(i) ])
+
+(* Precautionary sweep: the ApprovalCondition failing while the
+   supervisor believes all leases are clear means some remote entity
+   may be stuck in a risky state (possible only when its lease was
+   ablated, or after a chain was abandoned at the session bailout).
+   Sweep a cancel chain through the participants, paced by the
+   Fall-Back cool-down. A chain of one link has nothing to sweep. *)
+let sweep (p : Params.t) send_cancel ~k =
+  if k < 2 then []
+  else
+    [
+      edge
+        ~guard:(approval_fails @ ge fallback_clock p.Params.t_fb_min)
+        ~reset:leave_fall_back fall_back send_cancel.(k - 1);
+    ]
+
+let links k = List.init k (fun idx -> idx + 1)
+
+let session (p : Params.t) ~at ~k =
+  let name i = p.Params.entities.(i - 1).Params.name in
+  let initiator = name k in
+  let names = chain_names p ~at ~k in
+  let grant = names grant_loc and lease = names lease_loc in
+  let send_abort = names send_abort_loc and abort = names abort_loc in
+  let bailout = bailout p and waited = ge clock p.Params.t_wait_max in
+  (* cancel links exist for participants only: the initiator cancels
+     itself (it is never sent a cancel), so the reverse-order cancel
+     chain starts at ξk−1; abort links exist for every ξi up to ξk *)
+  let send_cancel, cancel_edges, cancel_locations =
+    cancels p ~at ~k ~bailout ~waited
   in
-  let loc ?(kind = Location.Safe) location_name =
-    Location.make ~kind ~flow location_name
-  in
-  let locations =
-    (* cancel-chain locations exist for participants only: the
-       Initializer cancels itself (it is never sent a cancel), so the
-       reverse-order cancel chain starts at ξN−1. Abort locations exist
-       for every remote entity including ξN. *)
-    [ loc fall_back ]
-    @ List.concat
-        (List.init n (fun idx ->
-             let i = idx + 1 in
-             [ loc (grant_loc (name i)); loc (lease_loc (name i));
-               loc (send_abort_loc (name i)); loc (abort_loc (name i)) ]
-             @
-             if i < n then
-               [ loc (send_cancel_loc (name i)); loc (cancel_loc (name i)) ]
-             else []))
-  in
-  let to_fb ?guard ?label ?urgency src =
-    edge ?guard ?label ?urgency
-      ~reset:[ (clock, Reset.Set_const 0.0); (fallback_clock, Reset.Set_const 0.0) ]
-      src fall_back
-  in
-  let bailout src = to_fb ~guard:(ge session_clock bailout_bound) src in
-  let grant_edges i =
-    (* instant: send the lease request (or the approval for ξN) *)
-    let send_label =
-      if i < n then Label.Send (Events.lease_req ~participant:(name i))
-      else Label.Send (Events.approve ~initializer_:initializer_name)
+  let link i =
+    let me = name i and here = lease.(i) in
+    (* instant: send the lease request (or the approval for ξk) *)
+    let grant_label =
+      if i < k then Events.lease_req ~participant:me
+      else Events.approve ~initializer_:initiator
     in
-    [ edge ~label:send_label ~reset:reset_clock (grant_loc (name i))
-        (lease_loc (name i)) ]
-  in
-  let lease_edges i =
-    let here = lease_loc (name i) in
-    let abort_here =
-      edge ~guard:(lt approval_var 0.5) ~reset:reset_clock here
-        (send_abort_loc (name i))
+    let lease_edges =
+      bailout here
+      :: edge ~guard:approval_fails ~reset:reset_clock here send_abort.(i)
+      ::
+      (if i < k then
+         [
+           edge ~label:(Label.Recv_lossy (Events.lease_approve ~participant:me))
+             ~reset:reset_clock here grant.(i + 1);
+           descend ~label:(Label.Recv_lossy (Events.lease_deny ~participant:me))
+             here send_cancel i;
+           edge ~label:(Label.Recv_lossy (Events.cancel_up ~initializer_:initiator))
+             ~reset:reset_clock here send_cancel.(i);
+           edge ~guard:waited ~reset:reset_clock here send_cancel.(i);
+         ]
+       else
+         (* Lease ξk: the session is granted. The supervisor leaves only
+            on the initiator's cancel/exit, on an approval failure (abort
+            chain), or via the session bailout. Deliberately {e no} dwell
+            timeout here: if the initiator's messages are all lost, the
+            rescue must come from the remote entities' own leases — that
+            is the property the with/without-lease trials contrast. *)
+         [
+           descend ~label:(Label.Recv_lossy (Events.cancel_up ~initializer_:initiator))
+             here send_cancel k;
+           descend ~label:(Label.Recv_lossy (Events.exit_up ~initializer_:initiator))
+             here send_cancel k;
+         ])
     in
-    if i < n then
-      [
-        bailout here;
-        abort_here;
-        edge ~label:(Label.Recv_lossy (Events.lease_approve ~participant:(name i)))
-          ~reset:reset_clock here
-          (grant_loc (name (i + 1)));
-        (if i = 1 then
-           to_fb ~label:(Label.Recv_lossy (Events.lease_deny ~participant:(name i))) here
-         else
-           edge ~label:(Label.Recv_lossy (Events.lease_deny ~participant:(name i)))
-             ~reset:reset_clock here
-             (send_cancel_loc (name (i - 1))));
-        edge ~label:(Label.Recv_lossy (Events.cancel_up ~initializer_:initializer_name))
-          ~reset:reset_clock here
-          (send_cancel_loc (name i));
-        edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock here
-          (send_cancel_loc (name i));
-      ]
-    else
-      (* Lease ξN: the session is granted. The supervisor leaves only on
-         the initializer's cancel/exit, on an approval failure (abort
-         chain), or via the session bailout. Deliberately {e no} dwell
-         timeout here: if the initializer's messages are all lost, the
-         rescue must come from the remote entities' own leases — that is
-         the property the with/without-lease trials contrast. *)
-      [
-        bailout here;
-        abort_here;
-        edge ~label:(Label.Recv_lossy (Events.cancel_up ~initializer_:initializer_name))
-          ~reset:reset_clock here
-          (send_cancel_loc (name (n - 1)));
-        edge ~label:(Label.Recv_lossy (Events.exit_up ~initializer_:initializer_name))
-          ~reset:reset_clock here
-          (send_cancel_loc (name (n - 1)));
-      ]
-  in
-  let cancel_edges i =
-    let dispatch =
-      edge ~label:(Label.Send (Events.cancel_down ~entity:(name i)))
-        ~reset:reset_clock
-        (send_cancel_loc (name i))
-        (cancel_loc (name i))
-    in
-    let here = cancel_loc (name i) in
-    let confirmed =
-      let label =
-        Label.Recv_lossy (Events.exited_up ~participant:(name i))
+    let abort_edges =
+      let confirmation =
+        if i = k then Events.exit_up ~initializer_:initiator
+        else Events.exited_up ~participant:me
       in
-      if i = 1 then to_fb ~label here
-      else edge ~label ~reset:reset_clock here (send_cancel_loc (name (i - 1)))
+      [
+        edge ~label:(Label.Send (Events.abort_down ~entity:me)) ~reset:reset_clock
+          send_abort.(i) abort.(i);
+        bailout abort.(i);
+        descend ~label:(Label.Recv_lossy confirmation) abort.(i) send_abort i;
+        edge ~guard:waited ~reset:reset_clock abort.(i) send_abort.(i);
+      ]
     in
-    let retransmit =
-      edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock here
-        (send_cancel_loc (name i))
-    in
-    [ dispatch; bailout here; confirmed; retransmit ]
+    (edge ~label:(Label.Send grant_label) ~reset:reset_clock grant.(i) here
+     :: lease_edges)
+    @ abort_edges
+    @ if i < k then cancel_edges i else []
   in
-  let abort_edges i =
-    let dispatch =
-      edge ~label:(Label.Send (Events.abort_down ~entity:(name i)))
-        ~reset:reset_clock
-        (send_abort_loc (name i))
-        (abort_loc (name i))
-    in
-    let here = abort_loc (name i) in
-    let confirmation_label =
-      if i = n then Label.Recv_lossy (Events.exit_up ~initializer_:initializer_name)
-      else Label.Recv_lossy (Events.exited_up ~participant:(name i))
-    in
-    let confirmed =
-      if i = 1 then to_fb ~label:confirmation_label here
-      else
-        edge ~label:confirmation_label ~reset:reset_clock here
-          (send_abort_loc (name (i - 1)))
-    in
-    let retransmit =
-      edge ~guard:(ge clock p.Params.t_wait_max) ~reset:reset_clock here
-        (send_abort_loc (name i))
-    in
-    [ dispatch; bailout here; confirmed; retransmit ]
+  let locations i =
+    ( List.map supervisor_loc [ grant.(i); lease.(i); send_abort.(i); abort.(i) ],
+      if i < k then cancel_locations i else [] )
   in
-  let grant_from_fb =
-    edge
-      ~label:(Label.Recv_lossy (Events.request ~initializer_:initializer_name))
+  ( edge ~label:(Label.Recv_lossy (Events.request ~initializer_:initiator))
       ~guard:(ge fallback_clock p.Params.t_fb_min @ ge approval_var 0.5)
-      ~reset:
-        [ (clock, Reset.Set_const 0.0); (session_clock, Reset.Set_const 0.0) ]
-      fall_back (grant_loc (name 1))
+      ~reset:leave_fall_back fall_back grant.(1),
+    {
+      sweep = sweep p send_cancel ~k;
+      edges = List.concat_map link (links k);
+      locations = List.map locations (links k);
+    } )
+
+let cancel_chain (p : Params.t) ~at ~k =
+  let send_cancel, edges, locations =
+    cancels p ~at ~k ~bailout:(bailout p) ~waited:(ge clock p.Params.t_wait_max)
   in
-  (* Precautionary sweep: the ApprovalCondition failing while the
-     supervisor believes all leases are clear means some remote entity
-     may be stuck in a risky state (possible only when its lease was
-     ablated, or after a chain was abandoned at the session bailout).
-     Sweep a cancel chain through the participants, paced by the
-     Fall-Back cool-down. *)
-  let sweep_from_fb =
-    edge
-      ~guard:(lt approval_var 0.5 @ ge fallback_clock p.Params.t_fb_min)
-      ~reset:
-        [ (clock, Reset.Set_const 0.0); (session_clock, Reset.Set_const 0.0) ]
-      fall_back
-      (send_cancel_loc (name (n - 1)))
-  in
-  let edges =
-    grant_from_fb :: sweep_from_fb
-    :: List.concat
-         (List.init n (fun idx ->
-              let i = idx + 1 in
-              grant_edges i @ lease_edges i @ abort_edges i
-              @ if i < n then cancel_edges i else []))
-  in
+  {
+    sweep = sweep p send_cancel ~k;
+    edges = List.concat_map edges (links (k - 1));
+    locations = List.map (fun i -> ([], locations i)) (links (k - 1));
+  }
+
+let supervisor_of (p : Params.t) ~locations ~edges =
   Automaton.make ~name:p.Params.supervisor
     ~vars:[ clock; session_clock; fallback_clock; approval_var ]
-    ~locations ~edges ~initial_location:fall_back
+    ~locations:(supervisor_loc fall_back :: locations)
+    ~edges ~initial_location:fall_back
     ~initial_values:[ (approval_var, 1.0) ]
     ()
 
+(* ξ0 is ξN's session, entered from Fall-Back by the request or by the
+   sweep into its own cancel chain; each link's locations are listed
+   together. *)
+let supervisor (p : Params.t) =
+  let request, session = session p ~at:Fun.id ~k:(Params.n p) in
+  supervisor_of p
+    ~locations:(List.concat_map (fun (link, cancel) -> link @ cancel) session.locations)
+    ~edges:(request :: session.sweep @ session.edges)
+
 (** {1 Initializer} *)
 
-let initializer_ ?(lease = true) (p : Params.t) =
-  let e = Params.initializer_ p in
+let remote_flow = Flow.Rates [ (clock, 1.0) ]
+
+let initializer_body ?(lease = true) (p : Params.t) ~index ~at =
+  let e = p.Params.entities.(index - 1) in
   let me = e.Params.name in
-  let flow = Flow.Rates [ (clock, 1.0) ] in
   let loc ?(kind = Location.Safe) location_name =
-    Location.make ~kind ~flow location_name
+    Location.make ~kind ~flow:remote_flow location_name
   in
-  let send_req = "Send Req" in
-  let send_cancel_req = "Send Cancel (requesting)" in
-  let send_cancel_entering = "Send Cancel (entering)" in
-  let send_exit_entering = "Send Exit (entering)" in
-  let send_cancel_risky = "Send Cancel (risky)" in
-  let send_exit_abort = "Send Exit (abort)" in
-  let lease_expired = "Lease Expired" in
-  let send_exit_expired = "Send Exit (expired)" in
+  let send_req = at "Send Req" and requesting = at requesting in
+  let entering = at entering and risky_core = at risky_core in
+  let exiting1 = at exiting1 and exiting2 = at exiting2 in
+  let send_cancel_req = at "Send Cancel (requesting)" in
+  let send_cancel_entering = at "Send Cancel (entering)" in
+  let send_exit_entering = at "Send Exit (entering)" in
+  let send_cancel_risky = at "Send Cancel (risky)" in
+  let send_exit_abort = at "Send Exit (abort)" in
+  let lease_expired = at "Lease Expired" in
+  let send_exit_expired = at "Send Exit (expired)" in
   let locations =
     [
-      loc fall_back; loc send_req; loc requesting; loc entering;
+      loc send_req; loc requesting; loc entering;
       loc send_cancel_req; loc send_cancel_entering; loc send_exit_entering;
       loc ~kind:Location.Risky risky_core;
       loc ~kind:Location.Risky send_cancel_risky;
@@ -325,8 +346,15 @@ let initializer_ ?(lease = true) (p : Params.t) =
           fall_back;
       ]
   in
-  Automaton.make ~name:me ~vars:[ clock ] ~locations ~edges
-    ~initial_location:fall_back ()
+  (locations, edges)
+
+let initializer_ ?lease (p : Params.t) =
+  let locations, edges =
+    initializer_body ?lease p ~index:(Params.n p) ~at:Fun.id
+  in
+  Automaton.make ~name:(Params.initializer_ p).Params.name ~vars:[ clock ]
+    ~locations:(Location.make ~flow:remote_flow fall_back :: locations)
+    ~edges ~initial_location:fall_back ()
 
 (** {1 Participant} *)
 

@@ -50,6 +50,44 @@ val initializer_ : ?lease:bool -> Params.t -> Pte_hybrid.Automaton.t
 val participant : ?lease:bool -> Params.t -> index:int -> Pte_hybrid.Automaton.t
 (** ξindex (1-based, 1..N−1). Raises [Invalid_argument] out of range. *)
 
+(** {1 Chain builders}
+
+    What {!supervisor} and {!initializer_} are built from, shared with
+    {!Multi}. [~at] names every location but "Fall-Back"; the pattern
+    uses [Fun.id]. Edges are in declaration order, which the executor
+    and the model checker follow. *)
+
+type chain = {
+  sweep : Pte_hybrid.Edge.t list;
+      (** "Fall-Back" → Send Cancel ξk−1 when the ApprovalCondition fails:
+          the precautionary sweep into this chain (none when k = 1). *)
+  edges : Pte_hybrid.Edge.t list;
+      (** Per ξ1..ξk: its grant, lease and abort edges, then (below ξk)
+          its cancel edges. *)
+  locations : (Pte_hybrid.Location.t list * Pte_hybrid.Location.t list) list;
+      (** Per ξ1..ξk: its grant, lease, send-abort and abort locations,
+          and (below ξk) its send-cancel and cancel locations. *)
+}
+
+val session : Params.t -> at:(string -> string) -> k:int -> Pte_hybrid.Edge.t * chain
+(** Initiator ξk's session (1 ≤ k ≤ N): the request edge out of
+    "Fall-Back", and the chain that leases ξ1..ξk−1, approves ξk and
+    cancels or aborts back down. *)
+
+val cancel_chain : Params.t -> at:(string -> string) -> k:int -> chain
+(** The cancel links of ξ1..ξk−1 alone, with the sweep into them. *)
+
+val supervisor_of :
+  Params.t -> locations:Pte_hybrid.Location.t list -> edges:Pte_hybrid.Edge.t list ->
+  Pte_hybrid.Automaton.t
+(** ξ0 with "Fall-Back", then [locations], and [edges]. *)
+
+val initializer_body :
+  ?lease:bool -> Params.t -> index:int -> at:(string -> string) ->
+  Pte_hybrid.Location.t list * Pte_hybrid.Edge.t list
+(** ξindex's Initializer role: its locations but "Fall-Back", and its
+    edges. *)
+
 (** {1 Assembly} *)
 
 val system : ?lease:bool -> Params.t -> Pte_hybrid.System.t

@@ -231,6 +231,8 @@ let of_string s =
             fail "loss-model: interferer period must be > 0"
           else if burst < 0.0 then
             fail "loss-model: interferer burst must be >= 0"
+          else if not (Float.is_finite period && Float.is_finite burst) then
+            fail "loss-model: interferer period and burst must be finite"
           else if
             List.for_all (fun p -> p >= 0.0 && p <= 1.0) [ loss_during; loss_idle ]
           then Ok (Interferer { period; burst; loss_during; loss_idle })

@@ -83,7 +83,13 @@ let max_attempts c = c.max_retries + 1
 let worst_case_latency c ~frame_delay =
   let rec backoffs k acc =
     if k >= c.max_retries then acc
-    else backoffs (k + 1) (acc +. rto c ~attempt:k +. c.jitter)
+    else
+      let rto = rto c ~attempt:k in
+      (* the backoff never shrinks (multiplier >= 1): once capped, every
+         remaining attempt adds cap + jitter *)
+      if rto >= c.cap then
+        acc +. (Float.of_int (c.max_retries - k) *. (c.cap +. c.jitter))
+      else backoffs (k + 1) (acc +. rto +. c.jitter)
   in
   backoffs 0 0.0 +. frame_delay
 

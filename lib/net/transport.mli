@@ -158,7 +158,10 @@ val worst_case_latency : config -> frame_delay:float -> float
     reports delivered: the attempt schedule spans at most
     [sum_(k=0)^(max_retries-1) (rto k + jitter)], and the winning copy
     adds at most one [frame_delay] ({!Star.worst_frame_delay}) in the
-    air. Injected [Delay_frame] faults sit outside the bound. *)
+    air. Injected [Delay_frame] faults sit outside the bound. Once the
+    backoff reaches [cap], the remaining retries are added in one step,
+    so any retry count, [max_int] included, costs no more than the
+    retries before the cap. *)
 
 (** Cumulative counters over every radio send routed through the
     transport. At quiescence (no exchange still in flight)

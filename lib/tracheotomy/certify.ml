@@ -46,6 +46,21 @@ let smoke =
     split = { Split.default with particles = 16; max_stages = 10 };
   }
 
+let validate c =
+  if not (0.0 < c.target && c.target < 1.0) then
+    Error (Format.asprintf "certification target %g outside (0, 1)" c.target)
+  else if not (Float.is_finite c.min_effective && c.min_effective >= 0.0) then
+    Error
+      (Format.asprintf "effective-trial floor %g must be finite and >= 0"
+         c.min_effective)
+  else if not (Float.is_finite c.horizon && c.horizon > 0.0) then
+    Error
+      (Format.asprintf "trial horizon %g s must be finite and > 0" c.horizon)
+  else
+    match Option.fold ~none:(Ok ()) ~some:Sprt.validate c.screen with
+    | Error _ as e -> e
+    | Ok () -> Split.validate { c.split with Split.confidence = c.confidence }
+
 (* ------------------------------------------------------------------ *)
 (* Level function                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -193,6 +208,7 @@ let certify_design (c : config) design =
       }
 
 let run ?(config = default) () =
+  (match validate config with Ok () -> () | Error e -> invalid_arg e);
   { config; cells = List.map (certify_design config) (designs config) }
 
 let exit_code r =

@@ -53,6 +53,12 @@ val smoke : config
 (** A seconds-scale variant for CI: 300 s horizon, 16 particles x 10
     stages, target 1e-3, 1e3 effective-trial floor. *)
 
+val validate : config -> (unit, string) result
+(** The target lies in (0, 1), the effective-trial floor is finite and
+    >= 0, the horizon is finite and > 0, the screen passes
+    {!Pte_rare.Sprt.validate}, and the splitting config at [confidence]
+    passes {!Pte_rare.Split.validate}. *)
+
 val level_score :
   dwell_bound:float -> plan:Pte_faults.Plan.t -> Trial.result -> float
 (** The splitting importance function. >= 1.0 iff the trial violated;
@@ -88,7 +94,8 @@ type report = { config : config; cells : cell list }
 
 val certify_design : config -> design -> cell
 val run : ?config:config -> unit -> report
-(** Certify both case-study designs. *)
+(** Certify both case-study designs. Raises [Invalid_argument] with the
+    {!validate} message on a malformed config. *)
 
 val exit_code : report -> int
 (** 0 iff every with-lease cell certified AND every without-lease cell

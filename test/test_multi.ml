@@ -176,6 +176,67 @@ let test_mc_finds_no_lease_violation () =
          | _ -> false)
        r.Pte_mc.Reach.violations)
 
+(* The shared chain builders against a verbatim copy of the builders they
+   replaced ([Pattern_ref]). A dual-role entity lists its Initializer
+   locations in the single-Initializer order now, so its locations are
+   compared as sorted lists; everything else must be [=]. *)
+let test_builders_equal_reference () =
+  let chain3 =
+    (* bench A2's synthesized N = 3 chain *)
+    Synthesis.synthesize_exn
+      (Synthesis.default_requirements
+         ~entity_names:[ "pump"; "xray"; "carm" ]
+         ~safeguards:
+           [
+             { Params.enter_risky_min = 2.0; exit_safe_min = 1.0 };
+             { Params.enter_risky_min = 1.0; exit_safe_min = 0.5 };
+           ])
+  in
+  let chain4 = Scale.params_exn ~n:4 in
+  let configs =
+    [
+      ("case study", params, [ 1; 2 ]); ("case study", params, [ 2 ]);
+      ("N=3", chain3, [ 1; 3 ]); ("N=3", chain3, [ 2; 3 ]);
+      ("N=4", chain4, [ 1; 2; 3; 4 ]); ("N=4", chain4, [ 4 ]);
+    ]
+  in
+  let sorted (a : Automaton.t) =
+    { a with Automaton.locations = List.sort compare a.Automaton.locations }
+  in
+  List.iter
+    (fun (what, params, initiators) ->
+      let config = { Multi.params; initiators } in
+      let n = Params.n params in
+      let same label a b =
+        Alcotest.(check bool)
+          (Fmt.str "%s %a: %s" what Fmt.(Dump.list int) initiators label)
+          true (a = b)
+      in
+      let dual index = index < n && List.mem index initiators in
+      same "supervisor" (Multi.supervisor config)
+        (Pattern_ref.multi_supervisor config);
+      List.iter
+        (fun lease ->
+          let tag = if lease then "" else " (no lease)" in
+          let built = Multi.system ~lease config
+          and reference = Pattern_ref.multi_system ~lease config in
+          same ("system name" ^ tag) built.System.name reference.System.name;
+          List.iteri
+            (fun idx (b, r) ->
+              let label = Fmt.str "automaton %s%s" b.Automaton.name tag in
+              if idx > 0 && dual idx then same label (sorted b) (sorted r)
+              else same label b r)
+            (List.combine built.System.automata reference.System.automata);
+          for index = 1 to n do
+            let b = Multi.entity ~lease config ~index
+            and r = Pattern_ref.entity ~lease config ~index in
+            let label = Fmt.str "entity %d%s" index tag in
+            if dual index then same label (sorted b) (sorted r)
+            else same label b r
+          done)
+        [ true; false ])
+    configs
+
 let suite =
   [
     ( "core.multi",
@@ -192,5 +253,7 @@ let suite =
         Alcotest.test_case "mc bounded clean" `Slow test_mc_bounded_clean;
         Alcotest.test_case "mc finds no-lease breach" `Quick
           test_mc_finds_no_lease_violation;
+        Alcotest.test_case "builders = reference" `Quick
+          test_builders_equal_reference;
       ] );
   ]

@@ -167,6 +167,39 @@ let test_dot_export () =
      let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
      go 0)
 
+(* The shared chain builders against a verbatim copy of the builders they
+   replaced ([Pattern_ref]): the case study and synthesized chains of 3, 4
+   and 8, lease on and off, must give [=] automata and systems. *)
+let test_builders_equal_reference () =
+  let chains =
+    ("case study", p)
+    :: List.map (fun n -> (Fmt.str "N=%d" n, Scale.params_exn ~n)) [ 3; 4; 8 ]
+  in
+  List.iter
+    (fun (what, params) ->
+      let same label a b =
+        Alcotest.(check bool) (Fmt.str "%s: %s" what label) true (a = b)
+      in
+      same "supervisor" (Pattern.supervisor params)
+        (Pattern_ref.supervisor params);
+      List.iter
+        (fun lease ->
+          let tag = if lease then "" else " (no lease)" in
+          same ("initializer" ^ tag)
+            (Pattern.initializer_ ~lease params)
+            (Pattern_ref.initializer_ ~lease params);
+          same ("system" ^ tag)
+            (Pattern.system ~lease params)
+            (Pattern_ref.system ~lease params);
+          List.iter2
+            (fun built reference ->
+              same (Fmt.str "automaton %s%s" built.Automaton.name tag) built
+                reference)
+            (Pattern.system ~lease params).System.automata
+            (Pattern_ref.system ~lease params).System.automata)
+        [ true; false ])
+    chains
+
 let suite =
   [
     ( "core.pattern",
@@ -185,5 +218,7 @@ let suite =
         Alcotest.test_case "N=4 system" `Quick test_n4_system;
         Alcotest.test_case "scale generator" `Quick test_scale_generator;
         Alcotest.test_case "dot export" `Quick test_dot_export;
+        Alcotest.test_case "builders = reference" `Quick
+          test_builders_equal_reference;
       ] );
   ]

@@ -60,6 +60,39 @@ let test_worst_case_latency () =
     (Transport.worst_case_latency { c with Transport.max_retries = 0 }
        ~frame_delay:0.03)
 
+(* Past the backoff cap the bound adds its tail in one step: below the
+   cap it is the per-retry sum bit for bit, and max_int retries return
+   at once. *)
+let test_worst_case_latency_tail () =
+  let per_retry (c : Transport.config) =
+    let acc = ref 0.0 in
+    for k = 0 to c.Transport.max_retries - 1 do
+      acc := !acc +. Transport.rto c ~attempt:k +. c.Transport.jitter
+    done;
+    !acc +. 0.03
+  in
+  let d = Transport.default_config in
+  List.iter
+    (fun (c : Transport.config) ->
+      Alcotest.(check int64)
+        (Fmt.str "uncapped %a" Transport.pp_config c)
+        (Int64.bits_of_float (per_retry c))
+        (Int64.bits_of_float (Transport.worst_case_latency c ~frame_delay:0.03)))
+    Transport.
+      [ d; { d with max_retries = 0 }; { d with max_retries = 1 };
+        { d with base_rto = 0.1; multiplier = 1.5; cap = 60.0; max_retries = 9 };
+        { d with multiplier = 1.0; cap = 1.0; max_retries = 50 } ];
+  Alcotest.(check (float 1e-9)) "capped tail = per-retry sum"
+    (per_retry { d with Transport.max_retries = 40 })
+    (Transport.worst_case_latency { d with Transport.max_retries = 40 }
+       ~frame_delay:0.03);
+  let huge =
+    Transport.worst_case_latency { d with Transport.max_retries = max_int }
+      ~frame_delay:0.03
+  in
+  Alcotest.(check bool) "max_int retries: finite, past every budget" true
+    (Float.is_finite huge && huge > 1e18)
+
 let test_validate () =
   let ok c = Result.is_ok (Transport.validate c) in
   let d = Transport.default_config in
@@ -640,8 +673,21 @@ let spec_gen =
             ([ ":"; ","; "="; "nan"; "inf"; "1e400"; "0.5" ]
             @ List.map fst keyed @ others @ all_keys)))
   in
+  (* interferer fields are positional: period,burst,loss_during,loss_idle;
+     mostly four of them, mostly in range, so non-finite ones get tested *)
+  let interferer =
+    let field =
+      frequency
+        [ (1, oneofl [ "nan"; "inf"; "-inf"; "1e400" ]);
+          (3, oneofl [ "0"; "0.5"; "1"; "2.5" ]) ]
+    in
+    map
+      (fun fields -> "interferer:" ^ String.concat "," fields)
+      (list_size (oneofl [ 3; 4; 4; 4; 5 ]) field)
+  in
   frequency
     [ (1, oneofl (List.map fst keyed @ others));
+      (2, interferer);
       ( 6,
         oneof
           (List.map (fun (head, keys) -> spec head keys) keyed
@@ -707,7 +753,14 @@ let prop_spec_parsers =
        ~print:(fun (s, m) -> Fmt.str "%S / %a" s Transport.pp_mode m)
        (QCheck.Gen.pair spec_gen printable_mode_gen))
     (fun (spec, mode) ->
-      ignore (Loss.of_string spec);
+      (match Loss.of_string spec with
+      | Ok (Loss.Interferer { period; burst; loss_during; loss_idle }) ->
+          if
+            not
+              (List.for_all Float.is_finite
+                 [ period; burst; loss_during; loss_idle ])
+          then QCheck.Test.fail_reportf "accepted interferer %S" spec
+      | Ok _ | Error _ -> ());
       (match Transport.mode_of_string spec with
       | Ok (`Reliable c)
       | Ok (`Adaptive { Transport.healthy = `Reliable c; _ }) ->
@@ -1172,6 +1225,8 @@ let suite =
         Alcotest.test_case "backoff schedule" `Quick test_rto_schedule;
         Alcotest.test_case "worst-case latency closed form" `Quick
           test_worst_case_latency;
+        Alcotest.test_case "worst-case latency: one-step capped tail" `Quick
+          test_worst_case_latency_tail;
         Alcotest.test_case "config validation" `Quick test_validate;
         Alcotest.test_case "create rejects ill-formed configs" `Quick
           test_create_validates;
