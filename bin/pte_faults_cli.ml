@@ -61,6 +61,10 @@ let run_inject plan_file artifact_file no_lease seed minutes loss_model
           failures = 0;
         }
   in
+  (* the plan must fit the emulated system before anything runs *)
+  or_die
+    (Pte_tracheotomy.Emulation.check_faults
+       (Robustness.artifact_config artifact));
   Fmt.pr "plan:@.%a@." Plan.pp artifact.Robustness.plan;
   (* a stochastic channel on top of the scripted plan is opt-in: the
      default perfect channel keeps the scripted faults the only loss *)

@@ -6,7 +6,28 @@
 
 open Cmdliner
 
+(* Inputs that would make a verdict meaningless are refused before any
+   search: a NaN constant reaches the zones, a NaN or infinite dwell
+   bound silently disables Rule 1, and a non-positive time or a negative
+   budget is no configuration at all. *)
+let validate ~t_enter_2 ~dwell_bound ~max_states =
+  let seconds flag = function
+    | Some v when not (Float.is_finite v && v > 0.0) ->
+        Error (Fmt.str "--%s must be a finite time > 0 s (got %g)" flag v)
+    | _ -> Ok ()
+  in
+  Result.bind (seconds "t-enter-2" t_enter_2) (fun () ->
+      Result.bind (seconds "dwell-bound" dwell_bound) (fun () ->
+          if max_states < 0 then
+            Error (Fmt.str "--max-states must be >= 0 (got %d)" max_states)
+          else Ok ()))
+
 let run lease t_enter_2 dwell_bound max_states first show_trace =
+  (match validate ~t_enter_2 ~dwell_bound ~max_states with
+  | Ok () -> ()
+  | Error e ->
+      Fmt.epr "pte-mc: %s@." e;
+      exit Cmd.Exit.cli_error);
   let base = Pte_core.Params.case_study in
   let p =
     match t_enter_2 with

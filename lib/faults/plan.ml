@@ -154,10 +154,23 @@ let str_field name json =
   | Some s -> Ok s
   | None -> Error (Printf.sprintf "plan: missing or bad %S" name)
 
+let finite name v =
+  if Float.is_finite v then Ok v
+  else Error (Printf.sprintf "plan: %S must be a finite number" name)
+
 let num_field name json =
   match Option.bind (Json.member name json) Json.to_float with
-  | Some v -> Ok v
+  | Some v -> finite name v
   | None -> Error (Printf.sprintf "plan: missing or bad %S" name)
+
+(* an optional number: absent is [None], present must be finite *)
+let opt_num_field name json =
+  match Json.member name json with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (num_field name json)
+
+(* [v] when [ok v], else the error [what] *)
+let require ok what v = if ok v then Ok v else Error ("plan: " ^ what)
 
 let packet_fault_of_json json =
   let* entity = str_field "entity" json in
@@ -172,11 +185,10 @@ let packet_fault_of_json json =
         | _ -> Error "plan: occurrence must be a non-negative int or \"every\"")
     | None -> Error "plan: missing \"occurrence\""
   in
+  let* after = opt_num_field "after" json in
+  let* before = opt_num_field "before" json in
   let window =
-    match
-      ( Option.bind (Json.member "after" json) Json.to_float,
-        Option.bind (Json.member "before" json) Json.to_float )
-    with
+    match (after, before) with
     | None, None -> None
     | after, before ->
         Some
@@ -192,6 +204,7 @@ let packet_fault_of_json json =
     | Ok "duplicate" -> Ok Duplicate
     | Ok "delay" ->
         let* d = num_field "delay" json in
+        let* d = require (fun d -> d >= 0.0) "\"delay\" must be >= 0" d in
         Ok (Delay d)
     | Ok s -> Error (Printf.sprintf "plan: unknown action %S" s)
     | Error _ as e -> e
@@ -204,10 +217,17 @@ let node_fault_of_json json =
   match kind with
   | "crash" ->
       let* at = num_field "at" json in
+      let* at = require (fun at -> at >= 0.0) "crash \"at\" must be >= 0" at in
       let* blackout = num_field "blackout" json in
+      let* blackout =
+        require (fun b -> b > 0.0) "crash \"blackout\" must be > 0" blackout
+      in
       Ok (Crash { entity; at; blackout })
   | "clock-drift" ->
       let* factor = num_field "factor" json in
+      let* factor =
+        require (fun f -> f > 0.0) "clock-drift \"factor\" must be > 0" factor
+      in
       Ok (Clock_drift { entity; factor })
   | s -> Error (Printf.sprintf "plan: unknown node fault %S" s)
 
@@ -231,14 +251,54 @@ let loss_step_of_json json =
     Error "plan: loss_profile step loss must be in [0, 1]"
   else Ok { at; loss }
 
+let keys = [ "packet"; "node"; "loss_profile" ]
+
 let of_json json =
   match json with
-  | Json.Obj _ ->
+  | Json.Obj fields ->
+      let* () =
+        match
+          List.find_opt (fun (k, _) -> not (List.mem k keys)) fields
+        with
+        | Some (k, _) ->
+            Error
+              (Printf.sprintf "plan: unknown key %S (expected %s)" k
+                 (String.concat ", " keys))
+        | None -> Ok ()
+      in
       let* packet_faults = list_field "packet" packet_fault_of_json json in
       let* node_faults = list_field "node" node_fault_of_json json in
       let* loss_profile = list_field "loss_profile" loss_step_of_json json in
       Ok { packet_faults; node_faults; loss_profile }
   | _ -> Error "plan: expected a JSON object"
+
+let check_entities t ~links ~automata =
+  let lacks known entity = not (List.exists (String.equal entity) known) in
+  match
+    List.find_opt (fun f -> lacks links f.site.entity) t.packet_faults
+  with
+  | Some f ->
+      Error
+        (Printf.sprintf
+           "plan: a packet fault names entity %S, which has no link (links: %s)"
+           f.site.entity (String.concat ", " links))
+  | None -> (
+      match
+        List.find_map
+          (function
+            | Crash { entity; _ } when lacks automata entity ->
+                Some ("a crash", entity)
+            | Clock_drift { entity; _ } when lacks automata entity ->
+                Some ("a clock drift", entity)
+            | _ -> None)
+          t.node_faults
+      with
+      | Some (what, entity) ->
+          Error
+            (Printf.sprintf
+               "plan: %s names entity %S, which the system lacks (entities: %s)"
+               what entity (String.concat ", " automata))
+      | None -> Ok ())
 
 let to_string t = Json.to_string (to_json t)
 let of_string s = Result.bind (Json.of_string s) of_json

@@ -85,11 +85,23 @@ val loss_step : at:float -> loss:float -> loss_step
     equality), so plans can be checked in, diffed, and replayed. *)
 
 val to_json : t -> Pte_util.Json.t
+
 val of_json : Pte_util.Json.t -> (t, string) result
+(** Refuses, besides malformed JSON: a top-level key other than
+    [packet], [node] and [loss_profile]; a non-finite number; a crash
+    [at] < 0 or [blackout] <= 0; a drift [factor] <= 0; a [delay] < 0;
+    a loss step off the timeline or outside [\[0, 1\]]. *)
+
 val to_string : t -> string
 val of_string : string -> (t, string) result
 val save : t -> string -> unit
 val load : string -> (t, string) result
+
+val check_entities :
+  t -> links:string list -> automata:string list -> (unit, string) result
+(** Where a plan meets a system: [Error] when a packet fault sits on an
+    entity without a link in [links], or a node fault targets an entity
+    not in [automata]. *)
 
 val pp : t Fmt.t
 val pp_packet_fault : packet_fault Fmt.t

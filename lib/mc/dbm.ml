@@ -25,6 +25,11 @@ let dim t = t.dim
 
 let copy t = { dim = t.dim; v = Array.copy t.v; s = Bytes.copy t.s }
 
+let blit ~src ~dst =
+  if src.dim <> dst.dim then invalid_arg "Dbm.blit: dimensions differ";
+  Array.blit src.v 0 dst.v 0 (Array.length src.v);
+  Bytes.blit src.s 0 dst.s 0 (Bytes.length src.s)
+
 let index t i j =
   if i < 0 || i >= t.dim || j < 0 || j >= t.dim then
     invalid_arg "Dbm: clock index out of range";
@@ -41,8 +46,11 @@ let[@inline] copy_entry t ~src ~dst =
 
 (* [(v, s)] is strictly tighter than [(v', s')]: [Bound.compare] < 0.
    Values within 1e-12 tie, and then a strict bound is the tighter one;
-   two ∞ tie too (|∞ − ∞| is NaN) and are both stored non-strict. *)
-let[@inline] tighter v s v' s' =
+   two ∞ tie too (|∞ − ∞| is NaN) and are both stored non-strict. The
+   strictness flags are typed [int] so the tie is an integer compare:
+   left untyped, [s > s'] is OCaml's polymorphic compare, a C call per
+   tie (DESIGN §14). *)
+let[@inline] tighter v (s : int) v' (s' : int) =
   if Float.abs (v -. v') > 1e-12 then v < v' else s > s'
 
 (** The zone where every clock equals 0. *)
@@ -174,22 +182,41 @@ let free t i =
     end
   done
 
+(* entry [idx] of [a] is strictly tighter than [b]'s; top level, so
+   that the scans below allocate no closure *)
+let[@inline] entry_tighter a b idx =
+  tighter (Array.unsafe_get a.v idx) (strict a idx) (Array.unsafe_get b.v idx)
+    (strict b idx)
+
 (** [includes a b]: every valuation of [b] lies in [a] (assumes both
-    canonical and non-empty). Stops at the first entry of [a] tighter
-    than [b]'s. *)
+    canonical and non-empty), i.e. no entry of [a] is tighter than
+    [b]'s. The answer is a conjunction over all entries, so the scan
+    order is free: the clock bounds [(0, i)] and [(i, 0)] come first,
+    since they decide most calls, then [(0, 0)] and the differences.
+    Stops at the first entry of [a] tighter than [b]'s. *)
 let includes a b =
   assert (a.dim = b.dim);
-  let n = a.dim * a.dim in
-  let idx = ref 0 in
+  let dim = a.dim in
+  let i = ref 1 in
   while
-    !idx < n
-    && not
-         (tighter (Array.unsafe_get a.v !idx) (strict a !idx)
-            (Array.unsafe_get b.v !idx) (strict b !idx))
+    !i < dim
+    && (not (entry_tighter a b !i))
+    && not (entry_tighter a b (!i * dim))
   do
-    incr idx
+    incr i
   done;
-  !idx = n
+  let ok = ref (!i = dim && not (entry_tighter a b 0)) in
+  let r = ref 1 in
+  while !ok && !r < dim do
+    let row = !r * dim in
+    let c = ref 1 in
+    while !ok && !c < dim do
+      if entry_tighter a b (row + !c) then ok := false;
+      incr c
+    done;
+    incr r
+  done;
+  !ok
 
 (* entries tie iff neither is tighter, as [Bound.equal] *)
 let equal a b = a.dim = b.dim && includes a b && includes b a

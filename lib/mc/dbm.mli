@@ -13,6 +13,10 @@ type t
 val dim : t -> int
 val copy : t -> t
 
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src] in place; both must have the same
+    dimension. *)
+
 val zero : clocks:int -> t
 (** Every clock equals 0. *)
 
@@ -42,7 +46,8 @@ val free : t -> int -> unit
 
 val includes : t -> t -> bool
 (** [includes a b]: every valuation of [b] lies in [a] (both canonical,
-    non-empty). Returns at the first entry that decides. *)
+    non-empty). Reads the clock bounds first and returns at the first
+    entry that decides. *)
 
 val equal : t -> t -> bool
 

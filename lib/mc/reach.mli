@@ -34,10 +34,8 @@ type result = {
           [stop_at_first]. *)
   trace : int -> string list;
       (** action trace from the initial state to a violation's state. *)
-  discrete_states : int;
+  discrete_states : int;  (** distinct (location vector, flags) keys *)
   max_zones_per_key : int;
-  hot_key : string;
-  hot_zones : string list;  (** diagnostics *)
 }
 
 val ok : result -> bool
@@ -53,7 +51,8 @@ val check :
   result
 (** Requires every member automaton to be in the timed fragment (clock
     and environment variables only); raises {!Ta.Unsupported}
-    otherwise. *)
+    otherwise. A dwell bound of [infinity] leaves Rule 1 unchecked for
+    its entity; a NaN one raises [Invalid_argument]. *)
 
 val check_pattern :
   ?lease:bool ->

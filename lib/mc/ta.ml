@@ -110,6 +110,9 @@ let translate (a : Automaton.t) ~alloc ~is_system_root =
     List.fold_left
       (fun (atoms, env) (g : Guard.atom) ->
         if is_env g.Guard.var then (atoms, true)
+        else if not (Float.is_finite g.Guard.bound) then
+          unsupported "automaton %s: non-finite constant %g on clock %s"
+            a.Automaton.name g.Guard.bound g.Guard.var
         else
           ( { clock = clock_index g.Guard.var;
               cmp = cmp_of_guard g.Guard.cmp;

@@ -44,7 +44,8 @@ val translate :
   Automaton.t -> alloc:(string -> int) -> is_system_root:(string -> bool) -> t
 (** [alloc] assigns global clock indices. Raises {!Unsupported} outside
     the timed fragment (ODE flows, mixed rates, compound urgent guards,
-    non-zero resets). *)
+    non-zero resets) and on a non-finite constant in a clock guard or
+    invariant. *)
 
 module Int_set : Set.S with type elt = int
 

@@ -75,11 +75,23 @@ type built = {
   degraded : Degraded.handle option;
 }
 
+(* the supervisor's, the ventilator's and the laser's names *)
+let names params =
+  ( params.Pte_core.Params.supervisor,
+    params.Pte_core.Params.entities.(0).Pte_core.Params.name,
+    (Pte_core.Params.initializer_ params).Pte_core.Params.name )
+
+let check_faults (config : config) =
+  let supervisor, ventilator, laser = names config.params in
+  Pte_faults.Plan.check_entities config.faults ~links:[ ventilator; laser ]
+    ~automata:[ supervisor; ventilator; laser; Patient.name ]
+
 let build (config : config) =
   let params = config.params in
-  let ventilator_name = params.Pte_core.Params.entities.(0).Pte_core.Params.name in
-  let laser_name = (Pte_core.Params.initializer_ params).Pte_core.Params.name in
-  let supervisor_name = params.Pte_core.Params.supervisor in
+  let supervisor_name, ventilator_name, laser_name = names params in
+  (match check_faults config with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Emulation.build: " ^ msg));
   let ventilator = Ventilator.participant ~lease:config.lease params in
   let laser = Pte_core.Pattern.initializer_ ~lease:config.lease params in
   let supervisor = Pte_core.Pattern.supervisor params in

@@ -51,9 +51,15 @@ type built = {
       (** Degraded-safe-mode entry counters (when configured). *)
 }
 
+val check_faults : config -> (unit, string) result
+(** The config's fault plan against the system {!build} assembles: an
+    [Error] names a packet fault on an entity without a radio link, or
+    a node fault on an entity that is not an automaton of the system. *)
+
 val build : config -> built
 (** Assemble automata, network, couplings (lungs, oximeter) and surgeon
-    timers. *)
+    timers. Raises [Invalid_argument] when {!check_faults} refuses the
+    plan. *)
 
 val run : built -> Pte_hybrid.Trace.t
 (** Run to the horizon and return the trace. *)

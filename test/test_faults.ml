@@ -48,6 +48,108 @@ let test_plan_rejects_garbage () =
       "{\"loss_profile\": [{\"at\": -1.0, \"loss\": 0.5}]}";
       "{\"loss_profile\": [{\"at\": 3.0, \"loss\": 1.5}]}" ]
 
+(* values no trial can mean are refused where the plan is parsed *)
+let test_plan_rejects_out_of_range () =
+  List.iter
+    (fun (s, why) ->
+      match Plan.of_string s with
+      | Error e -> Alcotest.(check string) s why e
+      | Ok _ -> Alcotest.failf "accepted %S" s)
+    [ ( "{\"faults\": []}",
+        "plan: unknown key \"faults\" (expected packet, node, loss_profile)" );
+      ( "{\"node\": [{\"fault\": \"crash\", \"entity\": \"laser\", \"at\": -1, \"blackout\": 5}]}",
+        "plan: crash \"at\" must be >= 0" );
+      ( "{\"node\": [{\"fault\": \"crash\", \"entity\": \"laser\", \"at\": 1, \"blackout\": 0}]}",
+        "plan: crash \"blackout\" must be > 0" );
+      ( "{\"node\": [{\"fault\": \"clock-drift\", \"entity\": \"laser\", \"factor\": 0}]}",
+        "plan: clock-drift \"factor\" must be > 0" );
+      ( "{\"packet\": [{\"entity\": \"laser\", \"direction\": \"up\", \"occurrence\": 0, \"action\": \"delay\", \"delay\": -0.5}]}",
+        "plan: \"delay\" must be >= 0" );
+      ( "{\"packet\": [{\"entity\": \"laser\", \"direction\": \"up\", \"occurrence\": 0, \"before\": 1e999, \"action\": \"drop\"}]}",
+        "plan: \"before\" must be a finite number" );
+      ( "{\"loss_profile\": [{\"at\": 1e999, \"loss\": 0.5}]}",
+        "plan: \"at\" must be a finite number" ) ]
+
+(* an entity the emulated system lacks is refused where the plan meets
+   the system, not when the executor first touches it *)
+let test_plan_entities_checked () =
+  let check plan =
+    Pte_tracheotomy.Emulation.check_faults
+      { Pte_tracheotomy.Emulation.default with faults = plan }
+  in
+  let refused what plan =
+    match check plan with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s accepted" what
+  in
+  refused "crash on lazer"
+    { Plan.empty with node_faults = [ Plan.crash ~entity:"lazer" ~at:1.0 ~blackout:1.0 ] };
+  refused "drift on lazer"
+    { Plan.empty with node_faults = [ Plan.clock_drift ~entity:"lazer" ~factor:1.1 ] };
+  refused "drop on the supervisor, which has no link of its own"
+    { Plan.empty with
+      packet_faults =
+        [ Plan.drop_nth ~entity:"supervisor" ~direction:Plan.Up ~root:"e" 0 ] };
+  (match
+     Pte_tracheotomy.Emulation.build
+       { Pte_tracheotomy.Emulation.default with
+         faults =
+           { Plan.empty with
+             node_faults = [ Plan.crash ~entity:"lazer" ~at:1.0 ~blackout:1.0 ] } }
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "build accepted a crash on lazer");
+  Alcotest.(check bool) "the case-study entities fit" true
+    (check
+       { Plan.empty with
+         packet_faults =
+           [ Plan.drop_nth ~entity:"laser" ~direction:Plan.Up ~root:"e" 0 ];
+         node_faults =
+           [ Plan.crash ~entity:"ventilator" ~at:0.0 ~blackout:1.0;
+             Plan.clock_drift ~entity:"supervisor" ~factor:0.9 ] }
+    = Ok ())
+
+(* every plan the fuzzer, the severity escalation and the shrinker build
+   still loads and fits the case-study system *)
+let prop_generated_plans_load =
+  QCheck.Test.make ~name:"generated plans pass the plan checks" ~count:50
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let rng = Pte_util.Rng.create seed in
+      let loads plan =
+        match Plan.of_string (Plan.to_string plan) with
+        | Error e -> QCheck.Test.fail_reportf "%a: %s" Plan.pp plan e
+        | Ok plan' when plan' <> plan ->
+            QCheck.Test.fail_reportf "%a changed on reload" Plan.pp plan
+        | Ok _ -> (
+            match
+              Pte_tracheotomy.Emulation.check_faults
+                { Pte_tracheotomy.Emulation.default with faults = plan }
+            with
+            | Ok () -> ()
+            | Error e -> QCheck.Test.fail_reportf "%a: %s" Plan.pp plan e)
+      in
+      let fuzzed = Fuzz.random_plan_with_profile rng vocab in
+      loads fuzzed;
+      let rec escalate plan n =
+        if n > 0 then begin
+          let next = Severity.escalate ~crashes:true ~vocab plan rng in
+          loads next;
+          escalate next (n - 1)
+        end
+      in
+      escalate Plan.empty 6;
+      (* keep every fault, so that the shrinker simplifies parameters *)
+      let faults (p : Plan.t) =
+        List.length p.packet_faults + List.length p.node_faults
+        + List.length p.loss_profile
+      in
+      ignore
+        (Shrink.shrink ~max_oracle_calls:60
+           ~oracle:(fun p -> loads p; faults p = faults fuzzed)
+           fuzzed);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* injector semantics on real links                                    *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +533,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_plan_with_profile_json_roundtrip;
         Alcotest.test_case "rejects malformed JSON" `Quick
           test_plan_rejects_garbage;
+        Alcotest.test_case "rejects out-of-range values" `Quick
+          test_plan_rejects_out_of_range;
+        Alcotest.test_case "entities checked against the system" `Quick
+          test_plan_entities_checked;
+        QCheck_alcotest.to_alcotest prop_generated_plans_load;
       ] );
     ( "faults.injector",
       [

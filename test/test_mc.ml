@@ -176,6 +176,104 @@ let test_generous_dwell_bound_ok () =
   in
   Alcotest.(check (list string)) "no violations at 60s" [] (kinds r)
 
+(* The search loop against [Reach_ref], a copy of the search before it
+   was cut down to zone work: every count, every violation (kind and
+   state, in order) and every trace must agree, so the two explore the
+   same states in the same order. *)
+let test_search_equals_reference () =
+  let kind = Alcotest.testable Pte_mc.Reach.pp_violation_kind ( = ) in
+  let same name ~system ~spec config =
+    let r = Pte_mc.Reach.check ~config ~system ~spec () in
+    let o = Reach_ref.check ~config ~system ~spec () in
+    let int what a b = Alcotest.(check int) (name ^ ": " ^ what) b a in
+    int "states" r.Pte_mc.Reach.states o.Reach_ref.states;
+    int "transitions" r.Pte_mc.Reach.transitions o.Reach_ref.transitions;
+    int "discrete states" r.Pte_mc.Reach.discrete_states
+      o.Reach_ref.discrete_states;
+    int "max zones per key" r.Pte_mc.Reach.max_zones_per_key
+      o.Reach_ref.max_zones_per_key;
+    Alcotest.(check bool) (name ^ ": exhausted") o.Reach_ref.exhausted
+      r.Pte_mc.Reach.exhausted;
+    let violations vs =
+      List.map (fun (v : Pte_mc.Reach.violation) -> (v.kind, v.state)) vs
+    in
+    Alcotest.(check (list (pair kind int)))
+      (name ^ ": violations")
+      (violations o.Reach_ref.violations)
+      (violations r.Pte_mc.Reach.violations);
+    List.iter
+      (fun (v : Pte_mc.Reach.violation) ->
+        Alcotest.(check (list string))
+          (Fmt.str "%s: trace to %d" name v.state)
+          (o.Reach_ref.trace v.state) (r.Pte_mc.Reach.trace v.state))
+      o.Reach_ref.violations
+  in
+  let pattern name ?(lease = true) config p =
+    same name
+      ~system:(Pattern.system ~lease p)
+      ~spec:(Rules.of_params p) config
+  in
+  let bounded n = { Pte_mc.Reach.default_config with max_states = n } in
+  let first = { Pte_mc.Reach.default_config with stop_at_first = true } in
+  pattern "lease 10k" (bounded 10_000) p;
+  pattern "lease 30k" (bounded 30_000) p;
+  pattern "no lease, first" ~lease:false first p;
+  pattern "no lease 5k" ~lease:false (bounded 5_000) p;
+  let with_entity i f =
+    let entities = Array.copy p.Params.entities in
+    entities.(i) <- f entities.(i);
+    { p with Params.entities }
+  in
+  List.iter
+    (fun (name, broken) -> pattern name first broken)
+    [ ( "break c2",
+        with_entity 0 (fun e ->
+            { e with Params.t_enter_max = 1.0; t_run_max = 2.0; t_exit = 2.0 }) );
+      ("break c4", with_entity 1 (fun e -> { e with Params.t_run_max = 60.0 }));
+      ("break c5", with_entity 1 (fun e -> { e with Params.t_enter_max = 3.0 }));
+      ("break c6", with_entity 0 (fun e -> { e with Params.t_run_max = 20.0 }));
+      ("break c7", with_entity 0 (fun e -> { e with Params.t_exit = 1.0 })) ];
+  pattern "N = 3, 20k" (bounded 20_000) (Scale.params_exn ~n:3);
+  same "two initiators, 20k"
+    ~system:(Multi.system { Multi.params = p; initiators = [ 1; 2 ] })
+    ~spec:(Rules.of_params p) (bounded 20_000)
+
+(* the library's own guards against meaningless inputs: a NaN dwell
+   bound raises while an infinite one leaves Rule 1 unchecked, and a
+   non-finite clock constant never reaches a zone *)
+let test_non_finite_inputs () =
+  (match Pte_mc.Reach.check_pattern ~dwell_bound:Float.nan ~config:budget p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "NaN dwell bound accepted");
+  let unbounded =
+    Pte_mc.Reach.check_pattern ~lease:false ~dwell_bound:Float.infinity
+      ~config:{ Pte_mc.Reach.default_config with max_states = 1_000 }
+      p
+  in
+  Alcotest.(check bool) "infinite bound: no Rule 1 violation" false
+    (List.exists
+       (fun k -> String.length k >= 5 && String.sub k 0 5 = "rule1")
+       (kinds unbounded));
+  List.iter
+    (fun t_enter ->
+      let init =
+        Pattern.initializer_
+          {
+            p with
+            Params.entities =
+              [|
+                p.Params.entities.(0);
+                { (p.Params.entities.(1)) with Params.t_enter_max = t_enter };
+              |];
+          }
+      in
+      let counter = ref 0 in
+      let alloc _ = incr counter; !counter in
+      match Pte_mc.Ta.translate init ~alloc ~is_system_root:(fun _ -> true) with
+      | exception Pte_mc.Ta.Unsupported _ -> ()
+      | _ -> Alcotest.failf "constant %g accepted" t_enter)
+    [ Float.nan; Float.infinity ]
+
 let suite =
   [
     ( "mc.reach",
@@ -201,5 +299,9 @@ let suite =
           test_no_lease_first_not_exhaustive;
         Alcotest.test_case "pinned counts at 10k states" `Quick
           test_pinned_counts;
+        Alcotest.test_case "search = reference" `Quick
+          test_search_equals_reference;
+        Alcotest.test_case "non-finite inputs refused" `Quick
+          test_non_finite_inputs;
       ] );
   ]
