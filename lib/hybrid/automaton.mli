@@ -46,7 +46,8 @@ val all_labels : t -> Label.t list
 
 val validate : t -> (unit, string list) result
 (** Structural well-formedness: unique locations, no dangling edges,
-    declared variables only, initial state exists and satisfies its
+    declared variables only (guards, invariants, resets, [Rates] flows,
+    initial values), initial state exists and satisfies its
     invariant. *)
 
 val validate_exn : t -> t

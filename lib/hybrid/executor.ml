@@ -30,19 +30,25 @@
     by [(due, seq)] with lazy-delete tombstones, compacted once dead
     entries outnumber live ones (push O(log n), cancel O(1) amortised);
     automata live in a flat array indexed by int with the name->index
-    table only at the API boundary; every location carries a
-    precomputed dispatch index (trigger-root -> edges, cached
-    eager/spontaneous arrays); {!stabilize} re-chases only {e active}
+    table only at the API boundary; each automaton's valuation is a
+    [float array] over its declared variables, and each location is
+    compiled, the first time the automaton enters it, into a {e kernel}
+    of slot arrays ({!Kernel}: guards, invariant, resets and [Rates]
+    flow) with its dispatch index (trigger-root -> edges, eager and
+    spontaneous arrays); {!stabilize} re-chases only {e active}
     automata — those that fired, received a message or whose location
     is time-sensitive — instead of scanning the whole system every
-    fixpoint round; and the continuous sweep skips automata whose
-    location is {e lazy} (constant-rate flow, no invariant, no eager
-    spontaneous edge), replaying their skipped Euler additions only when
-    something reads or writes their valuation. Because [seq] is the
-    insertion order and breaks [due] ties exactly as a sorted list
-    does, quiescent automata contribute nothing to a fixpoint round, and
-    the replay performs the same float additions in the same order,
-    traces and valuations are bit-identical to the reference engine:
+    fixpoint round, and allocates nothing in a round that fires
+    nothing, nor does the sweep over [Rates] flows; and the
+    continuous sweep skips automata whose location is {e lazy}
+    (constant-rate flow, no invariant, no eager spontaneous edge),
+    replaying their skipped Euler additions only when something reads
+    or writes their valuation. Because [seq] is the insertion order and
+    breaks [due] ties exactly as a sorted list does, quiescent automata
+    contribute nothing to a fixpoint round, and the kernels and the
+    replay perform the same float operations in the same order as the
+    list-based {!Guard}, {!Reset} and {!Valuation} functions, traces and
+    valuations are bit-identical to the reference engine:
     [~queue:`Legacy_list] keeps a sorted-list queue, full-scan
     stabilization and a full sweep, for the S1 benchmark baseline and
     the differential tests. *)
@@ -82,41 +88,59 @@ let default_config =
 
 type queue_kind = [ `Heap | `Legacy_list ]
 
-(* Per-location dispatch index, precomputed at {!create}: the edge
-   subsets the hot path needs, in declaration order (so "first enabled
-   edge" picks the same edge the old linear [edges_from] scan did). *)
-type loc_info = {
+type stats = {
+  sweeps : int;
+  awake_visits : int;
+  replays : int;
+  bisections : int;
+  chases : int;
+  kernels : int;
+  compactions : int;
+  peak_queue : int;
+}
+
+(* An edge compiled over its automaton's slots. *)
+type cedge = { edge : Edge.t; guard : Kernel.guard; reset : Kernel.reset }
+
+(* A location's kernel. The edge arrays keep declaration order, so
+   "first enabled edge" picks the same edge a linear scan of the
+   automaton's edges does. *)
+type kernel = {
   loc : Location.t;
-  eager : Edge.t array;  (* spontaneous + Eager *)
-  spontaneous : Edge.t array;  (* any urgency *)
-  triggered : (string, Edge.t array) Hashtbl.t;  (* trigger root -> edges *)
+  invariant : Kernel.guard;
+  rates : Kernel.rates;  (* the [Rates] flow; empty for an [Ode] *)
+  eager : cedge array;  (* spontaneous + Eager *)
+  spontaneous : cedge array;  (* any urgency *)
+  triggered : (string, cedge array) Hashtbl.t;  (* trigger root -> edges *)
   has_eager : bool;
       (* whether time passage alone can enable a transition here: if not,
          the automaton needs no eager re-chase after a continuous step *)
   is_lazy : bool;
       (* a step here only adds [rate * span] to each listed variable:
          the flow is [Rates], the invariant is [] and [eager] is empty *)
-  clock_vars : Var.t array;
-      (* lazy only: the distinct variables of the rate list, in order of
-         first occurrence *)
-  clock_slot : int array;  (* per rate entry: its index in [clock_vars] *)
-  clock_rate : float array;  (* per rate entry: its slope *)
 }
 
 type automaton_state = {
   automaton : Automaton.t;
   ix : int;  (* index into [t.states] *)
-  infos : (string, loc_info) Hashtbl.t;  (* location name -> index *)
-  mutable info : loc_info;  (* current location's index *)
-  mutable valuation : Valuation.t;
+  layout : Kernel.layout;
+  sources : (string, Location.t * Edge.t list) Hashtbl.t;
+      (* location name -> the location and its out-edges, reversed *)
+  kernels : (string, kernel) Hashtbl.t;
+      (* location name -> kernel, for the locations entered so far *)
+  mutable kernel : kernel;  (* the current location's *)
+  values : float array;  (* the valuation, by slot *)
   mutable synced : int;
-      (* number of sweeps already applied to [valuation]; a lazy
-         automaton lags behind and catches up in {!sync} *)
+      (* number of sweeps already applied to [values]; a lazy automaton
+         lags behind and catches up in {!sync} *)
   mutable entered_at : float;
   mutable halted : bool;
       (* crashed node: flows frozen, edges disabled, receptions dropped *)
   mutable rate : float;
       (* local clock-drift factor: its flows advance [rate * dt] per step *)
+  mutable span : float;
+      (* [dt *. rate], kept boxed so that the sweep passes it without
+         allocating *)
 }
 
 type token = int
@@ -130,6 +154,11 @@ type t = {
   listeners : (string, int array) Hashtbl.t;
       (* root -> listener indices, in system declaration order *)
   queue : queue;
+  lazy_ok : bool;  (* the heap engine classifies locations as lazy *)
+  tentative : float array;
+  probe : float array;
+      (* scratch valuations of the invariant check and its bisection,
+         as long as the largest automaton's *)
   mutable next_token : int;
   mutable events : int;  (* deliveries + timer firings + transitions *)
   recorder : Trace.Recorder.recorder;
@@ -145,6 +174,10 @@ type t = {
   mutable cursor : int;
       (* during a sweep, the index being advanced: automata below it
          have already taken the current sweep; 0 outside a sweep *)
+  mutable awake_visits : int;
+  mutable replays : int;
+  mutable bisections : int;
+  mutable chases : int;
 }
 
 and pending = { due : float; seq : int; owner : string; payload : payload }
@@ -166,6 +199,8 @@ and heap = {
       (* seqs queued and not cancelled; cancel = remove (a tombstone),
          pop skips entries whose seq is no longer live, and the heap is
          compacted once dead entries outnumber live ones *)
+  mutable compactions : int;
+  mutable peak : int;  (* most live entries at once *)
 }
 
 and legacy_list = { mutable items : pending list (* sorted by (due, seq) *) }
@@ -176,6 +211,7 @@ and legacy_list = { mutable items : pending list (* sorted by (due, seq) *) }
    counter, so due-ties pop in insertion order — exactly the order the
    legacy sorted list maintained. *)
 
+(* Never live: {!queue_peek}'s "empty" answer. *)
 let dummy_pending =
   { due = 0.0; seq = -1; owner = "<none>"; payload = Timer (fun _ -> ()) }
 
@@ -233,6 +269,7 @@ let heap_drop_root h =
 (* Keep only the live entries and re-heapify bottom-up, in O(len).
    [(due, seq)] is a total order, so the pop order is unchanged. *)
 let heap_compact h =
+  h.compactions <- h.compactions + 1;
   let kept = ref 0 in
   for i = 0 to h.len - 1 do
     let p = h.arr.(i) in
@@ -251,39 +288,38 @@ let heap_compact h =
    that tiny queues never compact. *)
 let compaction_floor = 64
 
-(* The live minimum, discarding cancelled (tombstoned) entries. *)
+(* The live minimum, discarding cancelled (tombstoned) entries;
+   [dummy_pending] when the queue is empty. *)
 let rec heap_peek h =
-  if h.len = 0 then None
+  if h.len = 0 then dummy_pending
   else
     let root = h.arr.(0) in
-    if Hashtbl.mem h.live root.seq then Some root
+    if Hashtbl.mem h.live root.seq then root
     else begin
       heap_drop_root h;
       heap_peek h
     end
 
-(* Pop the next live entry due at or before [deadline], if any. *)
-let queue_pop_due q ~deadline =
+let queue_peek = function
+  | Heap h -> heap_peek h
+  | Legacy_list { items = p :: _; _ } -> p
+  | Legacy_list { items = []; _ } -> dummy_pending
+
+(* Remove [p], which {!queue_peek} has just returned. *)
+let queue_remove_peeked q p =
   match q with
-  | Heap h -> (
-      match heap_peek h with
-      | Some p when p.due <= deadline ->
-          Hashtbl.remove h.live p.seq;
-          heap_drop_root h;
-          Some p
-      | Some _ | None -> None)
-  | Legacy_list l -> (
-      match l.items with
-      | p :: rest when p.due <= deadline ->
-          l.items <- rest;
-          Some p
-      | _ -> None)
+  | Heap h ->
+      Hashtbl.remove h.live p.seq;
+      heap_drop_root h
+  | Legacy_list l -> l.items <- List.tl l.items
 
 let queue_insert q item =
   match q with
   | Heap h ->
       Hashtbl.replace h.live item.seq ();
-      heap_push h item
+      heap_push h item;
+      let live = Hashtbl.length h.live in
+      if live > h.peak then h.peak <- live
   | Legacy_list l ->
       let rec insert = function
         | [] -> [ item ]
@@ -327,47 +363,32 @@ let bit_clear bits i =
   let w = i / word_bits in
   bits.(w) <- bits.(w) land lnot (1 lsl (i mod word_bits))
 
-(* {2 Construction} *)
+(* {2 Kernels}
 
-(* The lazy-replay tables of a [Rates] flow: its distinct variables,
-   and each entry's slot among them and slope. *)
-let clock_tables rates =
-  let vars = ref [] and count = ref 0 in
-  let slot var =
-    match List.assoc_opt var !vars with
-    | Some s -> s
-    | None ->
-        vars := (var, !count) :: !vars;
-        incr count;
-        !count - 1
-  in
-  let slots = Array.of_list (List.map (fun (var, _) -> slot var) rates) in
-  let distinct = Array.of_list (List.rev_map fst !vars) in
-  (distinct, slots, Array.of_list (List.map snd rates))
+   A location is compiled the first time its automaton enters it, and
+   the kernel is kept by this executor only: the automata of a system
+   are shared by every campaign domain that runs it, and most of the
+   thousands of supervisor locations at N = 1024 are never entered. *)
 
-let build_loc_info ~lazy_ok (loc : Location.t) edges =
-  let edges = Array.of_list edges in
-  let eager =
-    Array.of_list
-      (List.filter
-         (fun (e : Edge.t) -> Edge.is_spontaneous e && e.urgency = Edge.Eager)
-         (Array.to_list edges))
-  in
-  let spontaneous =
-    Array.of_list (List.filter Edge.is_spontaneous (Array.to_list edges))
-  in
+let compile_edge layout (e : Edge.t) =
+  { edge = e; guard = Kernel.guard layout e.guard; reset = Kernel.reset layout e.reset }
+
+let build_kernel ~lazy_ok layout (loc : Location.t) edges =
+  let edges = List.map (compile_edge layout) edges in
+  let spontaneous = List.filter (fun ce -> Edge.is_spontaneous ce.edge) edges in
+  let eager = List.filter (fun ce -> ce.edge.Edge.urgency = Edge.Eager) spontaneous in
   let triggered = Hashtbl.create 8 in
   (* group triggered edges by root, preserving declaration order *)
-  Array.iter
-    (fun (e : Edge.t) ->
-      match Edge.trigger_root e with
+  List.iter
+    (fun ce ->
+      match Edge.trigger_root ce.edge with
       | Some root ->
           let prev =
             match Hashtbl.find_opt triggered root with
             | Some l -> l
             | None -> []
           in
-          Hashtbl.replace triggered root (e :: prev)
+          Hashtbl.replace triggered root (ce :: prev)
       | None -> ())
     edges;
   let triggered_arrays = Hashtbl.create (Hashtbl.length triggered) in
@@ -376,67 +397,67 @@ let build_loc_info ~lazy_ok (loc : Location.t) edges =
       Hashtbl.replace triggered_arrays root
         (Array.of_list (List.rev rev_edges)))
     triggered;
+  let eager = Array.of_list eager in
   let has_eager = Array.length eager > 0 in
-  let rates =
+  let rates, constant =
     match loc.Location.flow with
-    | Flow.Rates rates when lazy_ok && loc.Location.invariant = [] && not has_eager
-      ->
-        Some rates
-    | Flow.Rates _ | Flow.Ode _ -> None
-  in
-  let clock_vars, clock_slot, clock_rate =
-    match rates with
-    | Some rates -> clock_tables rates
-    | None -> ([||], [||], [||])
+    | Flow.Rates rates -> (Kernel.rates layout rates, true)
+    | Flow.Ode _ -> (Kernel.rates layout [], false)
   in
   {
     loc;
+    invariant = Kernel.guard layout loc.Location.invariant;
+    rates;
     eager;
-    spontaneous;
+    spontaneous = Array.of_list spontaneous;
     triggered = triggered_arrays;
     has_eager;
-    is_lazy = Option.is_some rates;
-    clock_vars;
-    clock_slot;
-    clock_rate;
+    is_lazy = lazy_ok && constant && loc.Location.invariant = [] && not has_eager;
   }
 
-let build_state ~lazy_ok ix (a : Automaton.t) =
-  (* group edges by source location in one pass (declaration order) *)
-  let by_src = Hashtbl.create (List.length a.Automaton.locations * 2) in
+(* The kernel of location [name], built on its first request. *)
+let find_kernel ~lazy_ok layout sources kernels name =
+  match Hashtbl.find_opt kernels name with
+  | Some k -> k
+  | None ->
+      let loc, rev_edges = Hashtbl.find sources name (* validated *) in
+      let k = build_kernel ~lazy_ok layout loc (List.rev rev_edges) in
+      Hashtbl.replace kernels name k;
+      k
+
+let kernel_of t st name =
+  find_kernel ~lazy_ok:t.lazy_ok st.layout st.sources st.kernels name
+
+(* {2 Construction} *)
+
+let build_state ~lazy_ok ~dt ix (a : Automaton.t) =
+  let sources = Hashtbl.create (2 * List.length a.Automaton.locations) in
+  List.iter
+    (fun (loc : Location.t) -> Hashtbl.replace sources loc.Location.name (loc, []))
+    a.Automaton.locations;
   List.iter
     (fun (e : Edge.t) ->
-      let prev =
-        match Hashtbl.find_opt by_src e.src with Some l -> l | None -> []
-      in
-      Hashtbl.replace by_src e.src (e :: prev))
+      let loc, rev = Hashtbl.find sources e.src in
+      Hashtbl.replace sources e.src (loc, e :: rev))
     a.Automaton.edges;
-  let infos = Hashtbl.create (List.length a.Automaton.locations * 2) in
-  List.iter
-    (fun (loc : Location.t) ->
-      let edges =
-        match Hashtbl.find_opt by_src loc.Location.name with
-        | Some rev -> List.rev rev
-        | None -> []
-      in
-      Hashtbl.replace infos loc.Location.name
-        (build_loc_info ~lazy_ok loc edges))
-    a.Automaton.locations;
-  let info =
-    match Hashtbl.find_opt infos a.Automaton.initial_location with
-    | Some i -> i
-    | None -> assert false (* System.validate_exn checked it *)
+  let layout = Kernel.layout a.Automaton.vars in
+  let kernels = Hashtbl.create 8 in
+  let kernel =
+    find_kernel ~lazy_ok layout sources kernels a.Automaton.initial_location
   in
   {
     automaton = a;
     ix;
-    infos;
-    info;
-    valuation = Automaton.initial_valuation a;
+    layout;
+    sources;
+    kernels;
+    kernel;
+    values = Kernel.load layout (Automaton.initial_valuation a);
     synced = 0;
     entered_at = 0.0;
     halted = false;
     rate = 1.0;
+    span = dt;
   }
 
 let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
@@ -450,7 +471,7 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     automata;
   (* the legacy engine is the reference: it sweeps every automaton *)
   let lazy_ok = queue = `Heap in
-  let states = Array.mapi (build_state ~lazy_ok) automata in
+  let states = Array.mapi (build_state ~lazy_ok ~dt:config.dt) automata in
   let listeners = Hashtbl.create (4 * n) in
   Array.iteri
     (fun i (a : Automaton.t) ->
@@ -473,22 +494,31 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
         (Trace.Enter_location
            {
              automaton = st.automaton.Automaton.name;
-             location = st.info.loc.Location.name;
+             location = st.kernel.loc.Location.name;
            }))
     states;
   let queue =
     match queue with
     | `Heap ->
         Heap
-          { arr = Array.make 64 dummy_pending; len = 0; live = Hashtbl.create 64 }
+          {
+            arr = Array.make 64 dummy_pending;
+            len = 0;
+            live = Hashtbl.create 64;
+            compactions = 0;
+            peak = 0;
+          }
     | `Legacy_list -> Legacy_list { items = [] }
   in
   let awake = bits_create n and active = bits_create n in
   Array.iter
     (fun st ->
       bit_set active st.ix;
-      if not st.info.is_lazy then bit_set awake st.ix)
+      if not st.kernel.is_lazy then bit_set awake st.ix)
     states;
+  let width =
+    Array.fold_left (fun acc st -> max acc (Array.length st.values)) 0 states
+  in
   {
     system;
     config;
@@ -497,6 +527,9 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     index;
     listeners = listeners_arr;
     queue;
+    lazy_ok;
+    tentative = Array.make width 0.0;
+    probe = Array.make width 0.0;
     next_token = 0;
     events = 0;
     recorder;
@@ -506,12 +539,29 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     active;
     sweeps = 0;
     cursor = 0;
+    awake_visits = 0;
+    replays = 0;
+    bisections = 0;
+    chases = 0;
   }
 
 let set_router t router = t.router <- router
 let time t = t.now
 let trace t = Trace.Recorder.entries t.recorder
 let events_processed t = t.events
+
+let stats t =
+  {
+    sweeps = t.sweeps;
+    awake_visits = t.awake_visits;
+    replays = t.replays;
+    bisections = t.bisections;
+    chases = t.chases;
+    kernels =
+      Array.fold_left (fun acc st -> acc + Hashtbl.length st.kernels) 0 t.states;
+    compactions = (match t.queue with Heap h -> h.compactions | Legacy_list _ -> 0);
+    peak_queue = (match t.queue with Heap h -> h.peak | Legacy_list _ -> 0);
+  }
 
 let state_ix t name =
   match Hashtbl.find_opt t.index name with
@@ -526,33 +576,9 @@ let state t name = t.states.(state_ix t name)
    adds [r *. (dt *. rate)] to each listed variable. Its valuation lags
    [synced] sweeps behind and is brought up to date by {!sync} before
    anything reads or writes it, replaying the skipped additions — the
-   same IEEE operations in the same order — in an unboxed loop. Every
-   change of location, rate or halted status syncs first, so the
-   skipped sweeps all ran under the current ones. *)
-
-(* Replay [k] skipped sweeps of a lazy, running automaton. *)
-let replay t st k =
-  let info = st.info in
-  let span = t.config.dt *. st.rate in
-  let entries = Array.length info.clock_slot in
-  if entries > 0 && not (span <= 0.0) then begin
-    let vars = info.clock_vars in
-    let values = Array.make (Array.length vars) 0.0 in
-    for s = 0 to Array.length vars - 1 do
-      values.(s) <- Valuation.get st.valuation vars.(s)
-    done;
-    for _ = 1 to k do
-      for j = 0 to entries - 1 do
-        let s = info.clock_slot.(j) in
-        values.(s) <- values.(s) +. (info.clock_rate.(j) *. span)
-      done
-    done;
-    let valuation = ref st.valuation in
-    for s = 0 to Array.length vars - 1 do
-      valuation := Valuation.set !valuation vars.(s) values.(s)
-    done;
-    st.valuation <- !valuation
-  end
+   same IEEE operations in the same order — in place. Every change of
+   location, rate or halted status syncs first, so the skipped sweeps
+   all ran under the current ones. *)
 
 (* The sweeps [st]'s valuation must include now. Mid-sweep, the current
    sweep counts only for automata the sweep has already passed, exactly
@@ -568,13 +594,16 @@ let sync t st =
   let k = target - st.synced in
   if k > 0 then begin
     st.synced <- target;
-    if st.info.is_lazy && not st.halted then replay t st k
+    if st.kernel.is_lazy && not st.halted then begin
+      t.replays <- t.replays + 1;
+      Kernel.replay st.kernel.rates st.values st.span k
+    end
   end
 
-(* Enter [info]. The caller has synced [st] or replaces its valuation. *)
-let set_location t st info =
-  st.info <- info;
-  if info.is_lazy then bit_clear t.awake st.ix else bit_set t.awake st.ix
+(* Enter [kernel]. The caller has synced [st] or replaces its valuation. *)
+let set_location t st kernel =
+  st.kernel <- kernel;
+  if kernel.is_lazy then bit_clear t.awake st.ix else bit_set t.awake st.ix
 
 let synced_state t name =
   let st = state t name in
@@ -582,11 +611,19 @@ let synced_state t name =
   st
 
 (* Cheap reads: neither needs the valuation, so neither syncs. *)
-let location_of t name = (state t name).info.loc.Location.name
+let location_of t name = (state t name).kernel.loc.Location.name
 let dwell_time t name = t.now -. (state t name).entered_at
 
-let valuation_of t name = (synced_state t name).valuation
-let value_of t name var = Valuation.get (synced_state t name).valuation var
+let valuation_of t name =
+  let st = synced_state t name in
+  Kernel.store st.layout st.values
+
+(* An undeclared variable reads 0, as in a {!Valuation.t}. *)
+let read st var =
+  let s = Kernel.find st.layout var in
+  if s < 0 then 0.0 else st.values.(s)
+
+let value_of t name var = read (synced_state t name) var
 
 (** Overwrite one variable, bypassing flows and resets. This is the hook
     for {e wired} physical couplings that the automata formalism cannot
@@ -596,7 +633,10 @@ let value_of t name var = Valuation.get (synced_state t name).valuation var
     coupling API rather than directly. *)
 let set_value t name var value =
   let st = synced_state t name in
-  st.valuation <- Valuation.set st.valuation var value;
+  let s = Kernel.find st.layout var in
+  if s < 0 then
+    Fmt.invalid_arg "executor: automaton %s declares no variable %S" name var;
+  st.values.(s) <- value;
   bit_set t.active st.ix
 
 let record t event = Trace.Recorder.record t.recorder ~time:t.now event
@@ -619,18 +659,17 @@ let halt t name =
 let restart t name =
   let st = state t name in
   st.halted <- false;
-  (match Hashtbl.find_opt st.infos st.automaton.Automaton.initial_location with
-  | Some info -> set_location t st info
-  | None -> assert false);
+  set_location t st (kernel_of t st st.automaton.Automaton.initial_location);
   (* the fresh valuation owes no skipped sweep *)
-  st.valuation <- Automaton.initial_valuation st.automaton;
+  let initial = Kernel.load st.layout (Automaton.initial_valuation st.automaton) in
+  Array.blit initial 0 st.values 0 (Array.length initial);
   st.synced <- sync_target t st;
   st.entered_at <- t.now;
   bit_set t.active st.ix;
   note t (Printf.sprintf "fault: %s restarted" name);
   record t
     (Trace.Enter_location
-       { automaton = name; location = st.info.loc.Location.name })
+       { automaton = name; location = st.kernel.loc.Location.name })
 
 let is_halted t name = (state t name).halted
 
@@ -640,7 +679,9 @@ let is_halted t name = (state t name).halted
 let set_rate t name rate =
   if rate <= 0.0 || not (Float.is_finite rate) then
     Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
-  (synced_state t name).rate <- rate
+  let st = synced_state t name in
+  st.rate <- rate;
+  st.span <- t.config.dt *. rate
 
 let rate t name = (state t name).rate
 
@@ -700,45 +741,35 @@ let broadcast t ~sender ~root =
           end)
         ixs
 
-(* Fire [edge] from [st]'s current location. Emits trace entries and
+(* Fire [ce] from [st]'s current location. Emits trace entries and
    broadcasts any sent event. The caller maintains the chain budget. *)
-let fire t st (edge : Edge.t) ~forced =
+let fire t st ce ~forced =
+  let edge = ce.edge in
   let name = st.automaton.Automaton.name in
   sync t st;
   record t
     (Trace.Transition
        { automaton = name; src = edge.src; dst = edge.dst; label = edge.label;
          forced });
-  st.valuation <- Reset.apply edge.reset st.valuation;
-  (match Hashtbl.find_opt st.infos edge.dst with
-  | Some info -> set_location t st info
-  | None -> assert false (* validated: no dangling edge endpoints *));
+  Kernel.apply ce.reset st.values;
+  set_location t st (kernel_of t st edge.dst);
   st.entered_at <- t.now;
   bit_set t.active st.ix;
   t.events <- t.events + 1;
   record t
     (Trace.Enter_location
-       { automaton = name; location = st.info.loc.Location.name });
+       { automaton = name; location = st.kernel.loc.Location.name });
   match edge.label with
   | Some (Label.Send root) -> broadcast t ~sender:st.ix ~root
   | Some (Label.Internal _) | Some (Label.Recv _) | Some (Label.Recv_lossy _)
   | None ->
       ()
 
-let first_enabled edges valuation =
-  let n = Array.length edges in
-  let rec go i =
-    if i >= n then None
-    else
-      let e : Edge.t = edges.(i) in
-      if Guard.holds e.guard valuation then Some e else go (i + 1)
-  in
-  go 0
-
-(* Neither syncs: the sweep advances non-lazy automata eagerly, and a
-   lazy location has no eager edge, so no guard is read there. *)
-let enabled_spontaneous st = first_enabled st.info.spontaneous st.valuation
-let enabled_eager st = first_enabled st.info.eager st.valuation
+(* The index of the first edge of [edges] whose guard holds, or -1. *)
+let rec first_enabled edges values i =
+  if i >= Array.length edges then -1
+  else if Kernel.holds edges.(i).guard values then i
+  else first_enabled edges values (i + 1)
 
 (* Deliver [root] to [receiver]: fires the first enabled triggered edge
    listening on [root] in the current location, if any. *)
@@ -754,10 +785,11 @@ let deliver t ~receiver ~root =
   end
   else
     let candidate =
-      match Hashtbl.find_opt st.info.triggered root with
+      match Hashtbl.find_opt st.kernel.triggered root with
       | Some edges ->
           sync t st;
-          first_enabled edges st.valuation
+          let i = first_enabled edges st.values 0 in
+          if i >= 0 then Some edges.(i) else None
       | None -> None
     in
     match candidate with
@@ -785,6 +817,30 @@ let deliver_now t ~receiver ~root = deliver t ~receiver:(state_ix t receiver) ~r
 let lose_now t ~receiver ~root =
   record t (Trace.Message_lost { receiver; root })
 
+let zeno t name = raise (Zeno { automaton = name; time = t.now })
+
+(* Fire [st]'s enabled eager edges until none is left. [fires] counts
+   the discrete changes of this instant against [budget]; returns it
+   with this chase's firings added. Neither the eager scan nor the sweep
+   syncs: the sweep advances non-lazy automata eagerly, and a lazy
+   location has no eager edge, so no guard is read there. *)
+let chase t st ~fires ~budget =
+  t.chases <- t.chases + 1;
+  let fires = ref fires and k = ref 0 and enabled = ref true in
+  while !enabled do
+    if !k >= t.config.max_chain then zeno t st.automaton.Automaton.name;
+    let eager = st.kernel.eager in
+    let i = first_enabled eager st.values 0 in
+    if i < 0 then enabled := false
+    else begin
+      incr fires;
+      if !fires > budget then zeno t st.automaton.Automaton.name;
+      fire t st eager.(i) ~forced:false;
+      incr k
+    end
+  done;
+  !fires
+
 (* Fire eager edges and deliver due events until quiescent at the current
    instant.
 
@@ -796,55 +852,45 @@ let lose_now t ~receiver ~root =
    quiescent automata removes no transition; active automata are visited
    in declaration order, so the firing order (and hence the trace) is
    exactly the full-scan order. The legacy-list engine keeps the
-   original full scan, as the benchmark baseline. *)
+   original full scan, as the benchmark baseline. The loops are written
+   out with local counters so that a call allocates nothing. *)
 let stabilize t =
   let n = Array.length t.states in
   let budget = t.config.max_chain * n in
   let fires = ref 0 in
-  let bump name =
-    incr fires;
-    if !fires > budget then raise (Zeno { automaton = name; time = t.now })
-  in
   let progress = ref true in
   while !progress do
     progress := false;
     (* due deliveries and timers, in order *)
     let deadline = t.now +. 1e-12 in
-    let rec drain () =
-      match queue_pop_due t.queue ~deadline with
-      | Some { payload = Message { receiver; root }; _ } ->
-          bump t.states.(receiver).automaton.Automaton.name;
-          if deliver t ~receiver ~root then progress := true;
-          drain ()
-      | Some { payload = Timer f; owner; _ } ->
-          bump owner;
-          t.events <- t.events + 1;
-          f t;
-          progress := true;
-          drain ()
-      | None -> ()
-    in
-    drain ();
-    let chase st =
-      let name = st.automaton.Automaton.name in
-      let rec go k =
-        if k >= t.config.max_chain then
-          raise (Zeno { automaton = name; time = t.now });
-        match enabled_eager st with
-        | Some edge ->
-            bump name;
-            fire t st edge ~forced:false;
-            progress := true;
-            go (k + 1)
-        | None -> ()
-      in
-      go 0
-    in
+    let draining = ref true in
+    while !draining do
+      let p = queue_peek t.queue in
+      if p == dummy_pending || not (p.due <= deadline) then draining := false
+      else begin
+        queue_remove_peeked t.queue p;
+        incr fires;
+        match p.payload with
+        | Message { receiver; root } ->
+            if !fires > budget then
+              zeno t t.states.(receiver).automaton.Automaton.name;
+            if deliver t ~receiver ~root then progress := true
+        | Timer f ->
+            if !fires > budget then zeno t p.owner;
+            t.events <- t.events + 1;
+            f t;
+            progress := true
+      end
+    done;
     match t.queue with
     | Legacy_list _ ->
         for i = 0 to n - 1 do
           let st = t.states.(i) in
-          if not st.halted then chase st
+          if not st.halted then begin
+            let before = !fires in
+            fires := chase t st ~fires:before ~budget;
+            if !fires > before then progress := true
+          end
         done
     | Heap _ ->
         for w = 0 to Array.length t.active - 1 do
@@ -854,7 +900,9 @@ let stabilize t =
             if !rest land 1 = 1 then begin
               let st = t.states.(!i) in
               if not st.halted then begin
-                chase st;
+                let before = !fires in
+                fires := chase t st ~fires:before ~budget;
+                if !fires > before then progress := true;
                 (* fixpoint reached: nothing eager is enabled here until
                    a later delivery, mutation or continuous step re-marks
                    it *)
@@ -868,6 +916,28 @@ let stabilize t =
         done
   done
 
+(* One Euler step of [values] by [span] under [st]'s current flow, from
+   time [start]. An [Ode] reads the valuation before the step. *)
+let rec euler st ~start ~span values =
+  match st.kernel.loc.Location.flow with
+  | Flow.Rates _ -> Kernel.step st.kernel.rates values span
+  | Flow.Ode f ->
+      let derivatives = f start (Kernel.store st.layout st.values) in
+      add_derivatives st derivatives ~span values
+
+(* [Valuation.advance] on slots, for the derivatives an [Ode] returned. *)
+and add_derivatives st derivatives ~span values =
+  match derivatives with
+  | [] -> ()
+  | (var, r) :: rest ->
+      let s = Kernel.find st.layout var in
+      if s < 0 then
+        Fmt.invalid_arg
+          "executor: the flow of %s in %s drives undeclared variable %S"
+          st.automaton.Automaton.name st.kernel.loc.Location.name var;
+      values.(s) <- values.(s) +. (r *. span);
+      add_derivatives st rest ~span values
+
 (* Advance one automaton's continuous state by [span] seconds starting at
    absolute time [start]; handles invariant boundaries by bisection and
    forced transitions. Precondition: invariant holds at entry. *)
@@ -876,42 +946,52 @@ let rec advance_automaton t st ~start ~span ~depth =
   else begin
     if depth > t.config.max_chain then
       raise (Zeno { automaton = st.automaton.Automaton.name; time = start });
-    let flow = st.info.loc.Location.flow in
-    let derivatives = Flow.derivatives flow ~time:start st.valuation in
-    let tentative = Valuation.advance st.valuation derivatives span in
-    let invariant = st.info.loc.Location.invariant in
-    if Guard.holds invariant tentative then st.valuation <- tentative
+    let invariant = st.kernel.invariant in
+    if Kernel.is_true invariant then euler st ~start ~span st.values
     else begin
-      (* Bisect for the largest alpha in [0,1] keeping the invariant. *)
-      let from = st.valuation in
-      let alpha = ref 0.0 in
-      let width = ref 0.5 in
-      for _ = 1 to 30 do
-        let candidate = !alpha +. !width in
-        let v = Valuation.interpolate ~from ~target:tentative candidate in
-        if Guard.holds invariant v then alpha := candidate;
-        width := !width /. 2.0
-      done;
-      st.valuation <- Valuation.interpolate ~from ~target:tentative !alpha;
-      let boundary_time = start +. (!alpha *. span) in
-      let saved_now = t.now in
-      t.now <- boundary_time;
-      (match enabled_spontaneous st with
-      | Some edge -> fire t st edge ~forced:true
-      | None ->
-          raise
-            (Time_block
-               {
-                 automaton = st.automaton.Automaton.name;
-                 location = st.info.loc.Location.name;
-                 time = boundary_time;
-               }));
-      t.now <- saved_now;
-      advance_automaton t st ~start:boundary_time
-        ~span:(span -. (!alpha *. span))
-        ~depth:(depth + 1)
+      let n = Array.length st.values in
+      Array.blit st.values 0 t.tentative 0 n;
+      euler st ~start ~span t.tentative;
+      if Kernel.holds invariant t.tentative then
+        Array.blit t.tentative 0 st.values 0 n
+      else cross_boundary t st ~start ~span ~depth
     end
   end
+
+(* The step to [t.tentative] breaks the invariant: bisect for the
+   largest alpha in [0,1] that keeps it, move there, force a transition
+   and advance the rest of the span. *)
+and cross_boundary t st ~start ~span ~depth =
+  t.bisections <- t.bisections + 1;
+  let invariant = st.kernel.invariant in
+  let from = st.values and target = t.tentative and probe = t.probe in
+  let alpha = ref 0.0 in
+  let width = ref 0.5 in
+  for _ = 1 to 30 do
+    let candidate = !alpha +. !width in
+    Kernel.interpolate ~from ~target candidate probe;
+    if Kernel.holds invariant probe then alpha := candidate;
+    width := !width /. 2.0
+  done;
+  Kernel.interpolate ~from ~target !alpha probe;
+  Array.blit probe 0 st.values 0 (Array.length st.values);
+  let boundary_time = start +. (!alpha *. span) in
+  let saved_now = t.now in
+  t.now <- boundary_time;
+  let i = first_enabled st.kernel.spontaneous st.values 0 in
+  if i < 0 then
+    raise
+      (Time_block
+         {
+           automaton = st.automaton.Automaton.name;
+           location = st.kernel.loc.Location.name;
+           time = boundary_time;
+         });
+  fire t st st.kernel.spontaneous.(i) ~forced:true;
+  t.now <- saved_now;
+  advance_automaton t st ~start:boundary_time
+    ~span:(span -. (!alpha *. span))
+    ~depth:(depth + 1)
 
 let sample t =
   List.iter
@@ -921,16 +1001,13 @@ let sample t =
       | Some ix ->
           let st = t.states.(ix) in
           sync t st;
-          record t
-            (Trace.Sample
-               { automaton; var; value = Valuation.get st.valuation var }))
+          record t (Trace.Sample { automaton; var; value = read st var }))
     t.config.sample_vars
 
 (** Advance the whole system by one step of [config.dt]. *)
 let step t =
   stabilize t;
   let start = t.now in
-  let span = t.config.dt in
   (* lazy automata are skipped: {!sync} replays this sweep for them *)
   for w = 0 to Array.length t.awake - 1 do
     let base = w * word_bits in
@@ -940,10 +1017,11 @@ let step t =
         let st = t.states.(!i) in
         t.cursor <- !i;
         if not st.halted then begin
-          advance_automaton t st ~start ~span:(span *. st.rate) ~depth:0;
+          t.awake_visits <- t.awake_visits + 1;
+          advance_automaton t st ~start ~span:st.span ~depth:0;
           (* time passed: only a location with eager spontaneous edges
              can have gained an enabled transition from it *)
-          if st.info.has_eager then bit_set t.active !i
+          if st.kernel.has_eager then bit_set t.active !i
         end;
         st.synced <- t.sweeps + 1;
         rest := (t.awake.(w) lsr (!i - base)) lsr 1
@@ -954,17 +1032,20 @@ let step t =
   done;
   t.cursor <- 0;
   t.sweeps <- t.sweeps + 1;
-  t.now <- start +. span;
+  t.now <- start +. t.config.dt;
   stabilize t;
-  if t.config.sample_vars <> [] && t.now >= t.next_sample -. 1e-12 then begin
-    sample t;
-    (* catch up past [now]: with dt > sample_period the old one-period
-       bump fell permanently behind, emitting a stale burst *)
-    t.next_sample <- t.next_sample +. t.config.sample_period;
-    while t.now >= t.next_sample -. 1e-12 do
-      t.next_sample <- t.next_sample +. t.config.sample_period
-    done
-  end
+  match t.config.sample_vars with
+  | [] -> ()
+  | _ :: _ ->
+      if t.now >= t.next_sample -. 1e-12 then begin
+        sample t;
+        (* catch up past [now]: with dt > sample_period the old one-period
+           bump fell permanently behind, emitting a stale burst *)
+        t.next_sample <- t.next_sample +. t.config.sample_period;
+        while t.now >= t.next_sample -. 1e-12 do
+          t.next_sample <- t.next_sample +. t.config.sample_period
+        done
+      end
 
 let run t ~until =
   while t.now < until -. 1e-12 do

@@ -11,14 +11,21 @@
     The hot path is built for systems of 1000+ automata: a binary
     min-heap event queue ordered by (due, insertion seq) with
     lazy-delete tombstones that are compacted away once they outnumber
-    the live entries, flat int-indexed automaton states with
-    per-location dispatch indices, an activity-set stabilization that
-    re-chases only automata that changed since the last fixpoint, and a
-    continuous sweep that skips automata sitting in constant-rate
-    locations with no invariant and no eager edge. A skipped automaton's
-    valuation is brought up to date, by replaying the same float
-    additions in the same order, before any read or write of it. All of
-    it is bit-identical to the reference engine selected by
+    the live entries, flat int-indexed automaton states, an
+    activity-set stabilization that re-chases only automata that
+    changed since the last fixpoint, and a continuous sweep that skips
+    automata sitting in constant-rate locations with no invariant and
+    no eager edge. A skipped automaton's valuation is brought up to
+    date, by replaying the same float additions in the same order,
+    before any read or write of it. Each automaton's valuation is a
+    [float array] over its declared variables, and each location is
+    compiled into a {!Kernel} of slot arrays (guards, invariant,
+    resets, [Rates] flow) and a dispatch index the first time the
+    automaton enters it; kernels belong to the executor, never to the
+    shared {!Automaton.t}. Sweeping [Rates] flows and a stabilization
+    round that fires nothing allocate nothing. All of it is
+    bit-identical to the list-based {!Guard}, {!Reset} and {!Valuation}
+    semantics and to the reference engine selected by
     [~queue:`Legacy_list]. *)
 
 exception
@@ -83,6 +90,25 @@ val events_processed : t -> int
     timer firings and transitions. Cheap (no trace traversal) — the
     throughput benchmarks' events/sec numerator. *)
 
+type stats = {
+  sweeps : int;  (** continuous sweeps, one per {!step} *)
+  awake_visits : int;
+      (** automata advanced by a sweep, summed over sweeps (halted and
+          lazy ones are not) *)
+  replays : int;  (** lazy catch-ups that replayed skipped sweeps *)
+  bisections : int;  (** invariant-boundary searches *)
+  chases : int;  (** eager-edge chases run by stabilization *)
+  kernels : int;  (** location kernels built: locations entered so far *)
+  compactions : int;  (** tombstone compactions of the heap queue *)
+  peak_queue : int;
+      (** most live entries in the heap queue at once (the legacy list
+          reports 0, as it does for compactions) *)
+}
+(** Work counters of one executor. They count what the engine did, not
+    how long it took, so two runs of one input give equal stats. *)
+
+val stats : t -> stats
+
 (** {2 Revocable scheduling}
 
     Timers share the delivery queue (one timeline, ordered by (due,
@@ -123,14 +149,19 @@ val lose_now : t -> receiver:string -> root:string -> unit
 
 val location_of : t -> string -> string
 val valuation_of : t -> string -> Valuation.t
+(** A snapshot over exactly the automaton's declared variables. *)
+
 val value_of : t -> string -> Var.t -> float
+(** An undeclared variable reads 0, as in a {!Valuation.t}. *)
+
 val dwell_time : t -> string -> float
 (** Continuous dwell in the current location. *)
 
 val set_value : t -> string -> Var.t -> float -> unit
 (** Overwrite one variable, bypassing flows/resets — the hook for wired
     physical couplings (e.g. the oximeter writing the supervisor's
-    ApprovalCondition). Use via [pte_sim]'s coupling API. *)
+    ApprovalCondition). Use via [pte_sim]'s coupling API. Raises
+    [Invalid_argument] on a variable the automaton does not declare. *)
 
 val note : t -> string -> unit
 (** Append a free-form annotation to the trace. *)
@@ -161,7 +192,8 @@ val set_rate : t -> string -> float -> unit
 val rate : t -> string -> float
 
 val step : t -> unit
-(** Advance by one [config.dt] step. *)
+(** Advance by one [config.dt] step. Raises [Invalid_argument] when an
+    {!Flow.Ode} returns a derivative for an undeclared variable. *)
 
 val run : t -> until:float -> unit
 

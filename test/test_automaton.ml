@@ -67,6 +67,16 @@ let test_undeclared_guard_var () =
   in
   expect_invalid bad "undeclared variable"
 
+let test_undeclared_flow_var () =
+  (* a [Rates] flow on [q] with [~vars:["x"]] used to run and grow the
+     valuation to {q=2, x=1}; lint L030 flagged it, validation did not *)
+  let bad =
+    Automaton.make ~name:"flow" ~vars:[ "x" ]
+      ~locations:[ Location.make ~flow:(Flow.Rates [ ("q", 1.0) ]) "A" ]
+      ~edges:[] ~initial_location:"A" ~initial_values:[ ("x", 1.0) ] ()
+  in
+  expect_invalid bad "flow of \"A\" mentions undeclared variable \"q\""
+
 let test_initial_violating_invariant () =
   let a = tiny () in
   let locations =
@@ -195,5 +205,6 @@ let suite =
         Alcotest.test_case "Definition 3 simplicity" `Quick test_simplicity;
         Alcotest.test_case "system validation" `Quick test_system_validate;
         Alcotest.test_case "system listeners" `Quick test_system_listeners;
+        Alcotest.test_case "undeclared flow var" `Quick test_undeclared_flow_var;
       ] );
   ]

@@ -713,6 +713,128 @@ let prop_lazy_matches_full_sweep =
     (QCheck.make ~print:print_mixed_case gen_mixed_case)
     (fun c -> run_mixed `Heap c = run_mixed `Legacy_list c)
 
+(* ---- undeclared variables are refused at the executor boundary ---- *)
+
+let test_set_value_undeclared () =
+  (* writing [q] into an automaton that declares only [c] used to grow
+     its valuation by a variable no guard, flow or reset can see *)
+  let exec = Executor.create (system_of [ clock_automaton () ]) in
+  match Executor.set_value exec "clk" "q" 1.0 with
+  | () ->
+      Alcotest.failf "set_value accepted an undeclared variable: %a" Valuation.pp
+        (Executor.valuation_of exec "clk")
+  | exception Invalid_argument _ -> ()
+
+let test_ode_undeclared () =
+  let a =
+    Automaton.make ~name:"leaky" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.Ode (fun _ _ -> [ ("x", 1.0); ("q", 2.0) ])) "L" ]
+      ~edges:[] ~initial_location:"L" ()
+  in
+  let exec = Executor.create (system_of [ a ]) in
+  match Executor.step exec with
+  | () ->
+      Alcotest.failf "an ODE drove an undeclared variable: %a" Valuation.pp
+        (Executor.valuation_of exec "leaky")
+  | exception Invalid_argument _ -> ()
+
+(* ---- work counters and the step loop's allocation ---- *)
+
+(* One Table-I trial (with lease, E(Toff) = 18 s, seed 2013), built but
+   not yet run. *)
+let table1_trial () =
+  let _, _, config = (Pte_tracheotomy.Trial.table1_cells ~seed:2013).(0) in
+  let built = Pte_tracheotomy.Emulation.build config in
+  (built.Pte_tracheotomy.Emulation.engine, config.Pte_tracheotomy.Emulation.horizon)
+
+(* The pattern chain of [Pte_core.Scale] at dt = 10 ms under the perfect
+   star, with the Initializer's request and cancel stimuli: at steady
+   state only the supervisor is swept. *)
+let scale_chain ~n =
+  let p = Pte_core.Scale.params_exn ~n in
+  let net =
+    Pte_net.Star.create ~base:p.Pte_core.Params.supervisor
+      ~remotes:(Pte_core.Pattern.remotes p) ~loss_kind:Pte_net.Loss.Perfect
+      ~rng:(Pte_util.Rng.create 4049) ()
+  in
+  let engine =
+    Pte_sim.Engine.create
+      ~config:{ Executor.default_config with dt = 0.01 }
+      ~net ~transport:`Bare ~seed:2024 (Pte_core.Pattern.system p)
+  in
+  let init = Pte_core.Scale.initializer_name in
+  let stimulus ~mean ?immediately ~armed_in root =
+    Pte_sim.Scenario.exponential_stimulus engine ~mean ?immediately
+      ~automaton:init ~armed_in ~root ()
+  in
+  stimulus ~mean:30.0 ~immediately:true ~armed_in:Pte_core.Pattern.fall_back
+    (Pte_core.Events.stim_request ~initializer_:init);
+  stimulus ~mean:10.0 ~armed_in:Pte_core.Pattern.requesting
+    (Pte_core.Events.stim_cancel ~initializer_:init);
+  stimulus ~mean:8.0 ~armed_in:Pte_core.Pattern.risky_core
+    (Pte_core.Events.stim_cancel ~initializer_:init);
+  engine
+
+let test_stats_deterministic () =
+  let run () =
+    let engine, horizon = table1_trial () in
+    Pte_sim.Engine.run engine ~until:horizon;
+    Executor.stats (Pte_sim.Engine.executor engine)
+  in
+  let a = run () and b = run () in
+  Alcotest.(check bool) "equal counts" true (a = b);
+  Alcotest.(check int) "one sweep per 10 ms step" 180_001 a.Executor.sweeps;
+  Alcotest.(check bool) "chased, built and queued" true
+    (a.Executor.chases > 0 && a.Executor.kernels > 0 && a.Executor.peak_queue > 0)
+
+let test_kernels_built_on_entry () =
+  (* an idle N = 1024 chain enters a handful of the supervisor's ~6k
+     locations, so only those may be compiled *)
+  let system, _ = Pte_core.Scale.system ~n:1024 () in
+  let exec = Executor.create ~config:{ Executor.default_config with dt = 0.01 } system in
+  Executor.run exec ~until:5.0;
+  let entered = Hashtbl.create 2048 in
+  List.iter
+    (fun (e : Trace.entry) ->
+      match e.Trace.event with
+      | Trace.Enter_location { automaton; location } ->
+          Hashtbl.replace entered (automaton, location) ()
+      | _ -> ())
+    (Executor.trace exec);
+  let locations =
+    List.fold_left
+      (fun acc (a : Automaton.t) -> acc + List.length a.Automaton.locations)
+      0 system.System.automata
+  in
+  let stats = Executor.stats exec in
+  Alcotest.(check int) "one kernel per entered location" (Hashtbl.length entered)
+    stats.Executor.kernels;
+  Alcotest.(check bool) "far fewer than all locations" true
+    (stats.Executor.kernels * 4 < locations)
+
+(* Minor words per step repeat exactly from run to run, so the budgets
+   are fixed numbers: a closure or boxed float that creeps back into the
+   step loop shows here. The budgets hold the Table-I trial (~56 words
+   per step, 34 of them the patient's ODE) and the chain (~19) with
+   headroom; the list-valuation executor took ~297 and ~180. *)
+let words_per_step engine ~until =
+  let exec = Pte_sim.Engine.executor engine in
+  let s0 = (Executor.stats exec).Executor.sweeps in
+  let w0 = Gc.minor_words () in
+  Pte_sim.Engine.run engine ~until;
+  let words = Gc.minor_words () -. w0 in
+  words /. Float.of_int ((Executor.stats exec).Executor.sweeps - s0)
+
+let test_step_allocation () =
+  let engine, horizon = table1_trial () in
+  let trial = words_per_step engine ~until:horizon in
+  let chain = words_per_step (scale_chain ~n:256) ~until:60.0 in
+  if trial > 110.0 then
+    Alcotest.failf "Table-I trial: %.1f minor words per step, budget 110" trial;
+  if chain > 40.0 then
+    Alcotest.failf "N = 256 chain: %.1f minor words per step, budget 40" chain
+
 let test_trace_sink_streams () =
   let seen = ref 0 in
   let vent = Pte_tracheotomy.Ventilator.stand_alone in
@@ -770,5 +892,14 @@ let suite =
           test_scans_see_members_added_ahead;
         QCheck_alcotest.to_alcotest prop_lazy_matches_full_sweep;
         Alcotest.test_case "trace sink streams" `Quick test_trace_sink_streams;
+        Alcotest.test_case "set_value refuses undeclared variables" `Quick
+          test_set_value_undeclared;
+        Alcotest.test_case "ODE on an undeclared variable raises" `Quick
+          test_ode_undeclared;
+        Alcotest.test_case "stats repeat exactly" `Quick test_stats_deterministic;
+        Alcotest.test_case "kernels built on first entry" `Quick
+          test_kernels_built_on_entry;
+        Alcotest.test_case "minor words per step within budget" `Quick
+          test_step_allocation;
       ] );
   ]

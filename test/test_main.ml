@@ -6,7 +6,7 @@ let () =
    @ Test_campaign.suite
    @ Test_guard.suite @ Test_valuation.suite @ Test_flow_reset.suite
    @ Test_automaton.suite @ Test_wellformed.suite @ Test_trace.suite
-   @ Test_executor.suite @ Test_export.suite
+   @ Test_kernel.suite @ Test_executor.suite @ Test_export.suite
    @ Test_elaboration.suite @ Test_crc.suite @ Test_loss.suite
    @ Test_network.suite @ Test_sched.suite @ Test_transport.suite
    @ Test_adapt.suite
