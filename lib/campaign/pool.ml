@@ -28,7 +28,14 @@ let map ?workers f xs =
     else begin
       let spawned = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
       worker ();
-      List.iter Domain.join spawned
+      List.iter Domain.join spawned;
+      (* A joined domain leaves its heap orphaned until some domain ends
+         a major cycle and adopts it. A caller that allocates little may
+         not end one for a long time: until then the dead data of the
+         workers' jobs stays in the heap, and how much of it the heap
+         statistics count depends on which worker finished last. One
+         full major adopts and sweeps it before [map] returns. *)
+      Gc.full_major ()
     end;
     Array.map
       (function

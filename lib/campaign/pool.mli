@@ -13,4 +13,6 @@ val map : ?workers:int -> ('a -> 'b) -> 'a array -> 'b array
     {!default_workers}). Result order matches input order regardless of
     scheduling. [f] runs concurrently in several domains: it must be
     thread-safe and must not raise (an escaping exception tears down the
-    whole pool). *)
+    whole pool). With more than one worker, [map] ends with a full major
+    collection, so that the heaps the joined domains leave behind are
+    adopted and swept before it returns. *)

@@ -68,9 +68,9 @@ let all_labels a = List.filter_map (fun (e : Edge.t) -> e.label) a.edges
 
 (** Structural well-formedness. Returns the list of violations (empty =
     well-formed): duplicate location names, dangling edge endpoints,
-    undeclared variables in guards/invariants/resets/[Rates]
-    flows/initial values, missing or invariant-violating initial
-    state. *)
+    undeclared variables in guards/invariants/resets/flows (an [Ode]'s
+    read and driven variables)/initial values, missing or
+    invariant-violating initial state. *)
 let validate a =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
@@ -107,11 +107,7 @@ let validate a =
     (fun (l : Location.t) ->
       check_vars (Printf.sprintf "invariant of %S" l.name)
         (Guard.vars l.invariant);
-      match Flow.constant_rates l.flow with
-      | Some rates ->
-          check_vars (Printf.sprintf "flow of %S" l.name)
-            (Var.Set.of_list (List.map fst rates))
-      | None -> ())
+      check_vars (Printf.sprintf "flow of %S" l.name) (Flow.vars l.flow))
     a.locations;
   List.iteri
     (fun i (e : Edge.t) ->

@@ -46,9 +46,9 @@ val all_labels : t -> Label.t list
 
 val validate : t -> (unit, string list) result
 (** Structural well-formedness: unique locations, no dangling edges,
-    declared variables only (guards, invariants, resets, [Rates] flows,
-    initial values), initial state exists and satisfies its
-    invariant. *)
+    declared variables only (guards, invariants, resets, flows — an
+    [Ode]'s read and driven variables included — and initial values),
+    initial state exists and satisfies its invariant. *)
 
 val validate_exn : t -> t
 

@@ -30,17 +30,19 @@
     by [(due, seq)] with lazy-delete tombstones, compacted once dead
     entries outnumber live ones (push O(log n), cancel O(1) amortised);
     automata live in a flat array indexed by int with the name->index
-    table only at the API boundary; each automaton's valuation is a
-    [float array] over its declared variables, and each location is
-    compiled, the first time the automaton enters it, into a {e kernel}
-    of slot arrays ({!Kernel}: guards, invariant, resets and [Rates]
-    flow) with its dispatch index (trigger-root -> edges, eager and
+    table only at the API boundary (callers that act every step resolve
+    it once, into an {!automaton_ref} or a {!var_ref}); each
+    automaton's valuation is a [float array] over its declared
+    variables, and each location is compiled, the first time the
+    automaton enters it, into a {e kernel} of slot arrays ({!Kernel}:
+    guards, invariant, resets and flow, an [Ode]'s scratch arrays
+    included) with its dispatch index (trigger-root -> edges, eager and
     spontaneous arrays); {!stabilize} re-chases only {e active}
     automata — those that fired, received a message or whose location
     is time-sensitive — instead of scanning the whole system every
     fixpoint round, and allocates nothing in a round that fires
-    nothing, nor does the sweep over [Rates] flows; and the
-    continuous sweep skips automata whose location is {e lazy}
+    nothing; and the continuous sweep, which allocates nothing either,
+    skips automata whose location is {e lazy}
     (constant-rate flow, no invariant, no eager spontaneous edge),
     replaying their skipped Euler additions only when something reads
     or writes their valuation. Because [seq] is the insertion order and
@@ -108,7 +110,7 @@ type cedge = { edge : Edge.t; guard : Kernel.guard; reset : Kernel.reset }
 type kernel = {
   loc : Location.t;
   invariant : Kernel.guard;
-  rates : Kernel.rates;  (* the [Rates] flow; empty for an [Ode] *)
+  flow : Kernel.flow;
   eager : cedge array;  (* spontaneous + Eager *)
   spontaneous : cedge array;  (* any urgency *)
   triggered : (string, cedge array) Hashtbl.t;  (* trigger root -> edges *)
@@ -145,6 +147,9 @@ type automaton_state = {
 
 type token = int
 
+(* A variable resolved to its automaton's index and its slot there. *)
+type var_ref = { member : int; slot : int }
+
 type t = {
   system : System.t;
   config : config;
@@ -163,6 +168,7 @@ type t = {
   mutable events : int;  (* deliveries + timer firings + transitions *)
   recorder : Trace.Recorder.recorder;
   mutable router : router;
+  samples : (string * Var.t * var_ref) list;  (* [config.sample_vars] *)
   mutable next_sample : float;
   awake : int array;
       (* bitset of the automata whose location is not lazy: the sweep
@@ -399,15 +405,12 @@ let build_kernel ~lazy_ok layout (loc : Location.t) edges =
     triggered;
   let eager = Array.of_list eager in
   let has_eager = Array.length eager > 0 in
-  let rates, constant =
-    match loc.Location.flow with
-    | Flow.Rates rates -> (Kernel.rates layout rates, true)
-    | Flow.Ode _ -> (Kernel.rates layout [], false)
-  in
+  let flow = Kernel.flow layout loc.Location.flow in
+  let constant = match flow with Kernel.Rates _ -> true | Kernel.Ode _ -> false in
   {
     loc;
     invariant = Kernel.guard layout loc.Location.invariant;
-    rates;
+    flow;
     eager;
     spontaneous = Array.of_list spontaneous;
     triggered = triggered_arrays;
@@ -429,6 +432,18 @@ let kernel_of t st name =
   find_kernel ~lazy_ok:t.lazy_ok st.layout st.sources st.kernels name
 
 (* {2 Construction} *)
+
+let resolve_ix index name =
+  match Hashtbl.find_opt index name with
+  | Some ix -> ix
+  | None -> Fmt.invalid_arg "executor: unknown automaton %s" name
+
+let resolve_var states index name var =
+  let member = resolve_ix index name in
+  let slot = Kernel.find states.(member).layout var in
+  if slot < 0 then
+    Fmt.invalid_arg "executor: automaton %s declares no variable %S" name var;
+  { member; slot }
 
 let build_state ~lazy_ok ~dt ix (a : Automaton.t) =
   let sources = Hashtbl.create (2 * List.length a.Automaton.locations) in
@@ -519,6 +534,11 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
   let width =
     Array.fold_left (fun acc st -> max acc (Array.length st.values)) 0 states
   in
+  let samples =
+    List.map
+      (fun (name, var) -> (name, var, resolve_var states index name var))
+      config.sample_vars
+  in
   {
     system;
     config;
@@ -534,6 +554,7 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     events = 0;
     recorder;
     router = reliable_router;
+    samples;
     next_sample = 0.0;
     awake;
     active;
@@ -563,11 +584,7 @@ let stats t =
     peak_queue = (match t.queue with Heap h -> h.peak | Legacy_list _ -> 0);
   }
 
-let state_ix t name =
-  match Hashtbl.find_opt t.index name with
-  | Some ix -> ix
-  | None -> Fmt.invalid_arg "executor: unknown automaton %s" name
-
+let state_ix t name = resolve_ix t.index name
 let state t name = t.states.(state_ix t name)
 
 (* {2 Lazy constant-rate automata}
@@ -594,10 +611,11 @@ let sync t st =
   let k = target - st.synced in
   if k > 0 then begin
     st.synced <- target;
-    if st.kernel.is_lazy && not st.halted then begin
-      t.replays <- t.replays + 1;
-      Kernel.replay st.kernel.rates st.values st.span k
-    end
+    match st.kernel.flow with
+    | Kernel.Rates rates when st.kernel.is_lazy && not st.halted ->
+        t.replays <- t.replays + 1;
+        Kernel.replay rates st.values st.span k
+    | Kernel.Rates _ | Kernel.Ode _ -> ()
   end
 
 (* Enter [kernel]. The caller has synced [st] or replaces its valuation. *)
@@ -610,20 +628,25 @@ let synced_state t name =
   sync t st;
   st
 
-(* Cheap reads: neither needs the valuation, so neither syncs. *)
-let location_of t name = (state t name).kernel.loc.Location.name
-let dwell_time t name = t.now -. (state t name).entered_at
+(* {2 Resolved references}
 
-let valuation_of t name =
-  let st = synced_state t name in
-  Kernel.store st.layout st.values
+   A caller that polls or writes an automaton every step resolves its
+   name, and a variable's slot, once; the by-name functions below are
+   the same code behind a lookup. *)
 
-(* An undeclared variable reads 0, as in a {!Valuation.t}. *)
-let read st var =
-  let s = Kernel.find st.layout var in
-  if s < 0 then 0.0 else st.values.(s)
+type automaton_ref = int
 
-let value_of t name var = read (synced_state t name) var
+let automaton_ref = state_ix
+
+(* Reads no valuation, so it does not sync. *)
+let location t r = t.states.(r).kernel.loc.Location.name
+
+let var_ref t name var = resolve_var t.states t.index name var
+
+let get t r =
+  let st = t.states.(r.member) in
+  sync t st;
+  st.values.(r.slot)
 
 (** Overwrite one variable, bypassing flows and resets. This is the hook
     for {e wired} physical couplings that the automata formalism cannot
@@ -631,13 +654,22 @@ let value_of t name var = read (synced_state t name) var
     e.g. the oximeter wired to the supervisor writes the sampled SpO2
     into the supervisor's local data state. Use through [pte_sim]'s
     coupling API rather than directly. *)
-let set_value t name var value =
-  let st = synced_state t name in
-  let s = Kernel.find st.layout var in
-  if s < 0 then
-    Fmt.invalid_arg "executor: automaton %s declares no variable %S" name var;
-  st.values.(s) <- value;
+let set t r value =
+  let st = t.states.(r.member) in
+  sync t st;
+  st.values.(r.slot) <- value;
   bit_set t.active st.ix
+
+let location_of t name = location t (automaton_ref t name)
+let value_of t name var = get t (var_ref t name var)
+let set_value t name var value = set t (var_ref t name var) value
+
+(* Reads no valuation, so it does not sync. *)
+let dwell_time t name = t.now -. (state t name).entered_at
+
+let valuation_of t name =
+  let st = synced_state t name in
+  Kernel.store st.layout st.values
 
 let record t event = Trace.Recorder.record t.recorder ~time:t.now event
 let note t text = record t (Trace.Note text)
@@ -916,28 +948,6 @@ let stabilize t =
         done
   done
 
-(* One Euler step of [values] by [span] under [st]'s current flow, from
-   time [start]. An [Ode] reads the valuation before the step. *)
-let rec euler st ~start ~span values =
-  match st.kernel.loc.Location.flow with
-  | Flow.Rates _ -> Kernel.step st.kernel.rates values span
-  | Flow.Ode f ->
-      let derivatives = f start (Kernel.store st.layout st.values) in
-      add_derivatives st derivatives ~span values
-
-(* [Valuation.advance] on slots, for the derivatives an [Ode] returned. *)
-and add_derivatives st derivatives ~span values =
-  match derivatives with
-  | [] -> ()
-  | (var, r) :: rest ->
-      let s = Kernel.find st.layout var in
-      if s < 0 then
-        Fmt.invalid_arg
-          "executor: the flow of %s in %s drives undeclared variable %S"
-          st.automaton.Automaton.name st.kernel.loc.Location.name var;
-      values.(s) <- values.(s) +. (r *. span);
-      add_derivatives st rest ~span values
-
 (* Advance one automaton's continuous state by [span] seconds starting at
    absolute time [start]; handles invariant boundaries by bisection and
    forced transitions. Precondition: invariant holds at entry. *)
@@ -947,11 +957,12 @@ let rec advance_automaton t st ~start ~span ~depth =
     if depth > t.config.max_chain then
       raise (Zeno { automaton = st.automaton.Automaton.name; time = start });
     let invariant = st.kernel.invariant in
-    if Kernel.is_true invariant then euler st ~start ~span st.values
+    if Kernel.is_true invariant then
+      Kernel.advance st.kernel.flow ~time:start st.values span
     else begin
       let n = Array.length st.values in
       Array.blit st.values 0 t.tentative 0 n;
-      euler st ~start ~span t.tentative;
+      Kernel.advance st.kernel.flow ~time:start t.tentative span;
       if Kernel.holds invariant t.tentative then
         Array.blit t.tentative 0 st.values 0 n
       else cross_boundary t st ~start ~span ~depth
@@ -995,14 +1006,9 @@ and cross_boundary t st ~start ~span ~depth =
 
 let sample t =
   List.iter
-    (fun (automaton, var) ->
-      match Hashtbl.find_opt t.index automaton with
-      | None -> ()
-      | Some ix ->
-          let st = t.states.(ix) in
-          sync t st;
-          record t (Trace.Sample { automaton; var; value = read st var }))
-    t.config.sample_vars
+    (fun (automaton, var, r) ->
+      record t (Trace.Sample { automaton; var; value = get t r }))
+    t.samples
 
 (** Advance the whole system by one step of [config.dt]. *)
 let step t =
@@ -1034,7 +1040,7 @@ let step t =
   t.sweeps <- t.sweeps + 1;
   t.now <- start +. t.config.dt;
   stabilize t;
-  match t.config.sample_vars with
+  match t.samples with
   | [] -> ()
   | _ :: _ ->
       if t.now >= t.next_sample -. 1e-12 then begin

@@ -20,10 +20,13 @@
     before any read or write of it. Each automaton's valuation is a
     [float array] over its declared variables, and each location is
     compiled into a {!Kernel} of slot arrays (guards, invariant,
-    resets, [Rates] flow) and a dispatch index the first time the
-    automaton enters it; kernels belong to the executor, never to the
-    shared {!Automaton.t}. Sweeping [Rates] flows and a stabilization
-    round that fires nothing allocate nothing. All of it is
+    resets, and the flow: a [Rates] table, or an [Ode]'s read and
+    driven slots with its scratch arrays) and a dispatch index the
+    first time the automaton enters it; kernels belong to the executor,
+    never to the shared {!Automaton.t}. Callers that act every step
+    hold resolved refs ({!automaton_ref}, {!var_ref}) instead of names.
+    A sweep, with ODEs whose functions allocate nothing, and a
+    stabilization round that fires nothing allocate nothing. All of it is
     bit-identical to the list-based {!Guard}, {!Reset} and {!Valuation}
     semantics and to the reference engine selected by
     [~queue:`Legacy_list]. *)
@@ -58,7 +61,9 @@ type config = {
   dt : float;
   max_chain : int;
   sample_vars : (string * Var.t) list;
-      (** [(automaton, var)] recorded every [sample_period]. *)
+      (** [(automaton, var)] recorded every [sample_period]; {!create}
+          refuses an entry that names an unknown automaton or a variable
+          the automaton does not declare. *)
   sample_period : float;
 }
 
@@ -79,7 +84,9 @@ type queue_kind = [ `Heap | `Legacy_list ]
 
 val create : ?config:config -> ?queue:queue_kind ->
   ?trace_sink:(Trace.entry -> unit) -> System.t -> t
-(** Validates the system. [trace_sink] streams entries as they happen. *)
+(** Validates the system and resolves [config.sample_vars] (raising
+    [Invalid_argument] on an unknown name). [trace_sink] streams entries
+    as they happen. *)
 
 val set_router : t -> router -> unit
 val time : t -> float
@@ -147,21 +154,47 @@ val lose_now : t -> receiver:string -> root:string -> unit
 (** Record the loss of a send owned by a [Deferred] router, at the
     instant the transport gave up on it. *)
 
+(** {2 Resolved references}
+
+    A caller that reads or writes the same automaton every step — a
+    coupling, a stimulus, a sensor — resolves the name once, when it
+    registers, and then looks up no name: a ref is an automaton index,
+    plus a slot for a variable. Refs belong to the executor that made
+    them. *)
+
+type automaton_ref
+
+val automaton_ref : t -> string -> automaton_ref
+(** Raises [Invalid_argument] on an unknown automaton. *)
+
+val location : t -> automaton_ref -> string
+(** The automaton's current location. *)
+
+type var_ref
+
+val var_ref : t -> string -> Var.t -> var_ref
+(** Raises [Invalid_argument] on an unknown automaton or a variable the
+    automaton does not declare. *)
+
+val get : t -> var_ref -> float
+
+val set : t -> var_ref -> float -> unit
+(** Overwrite one variable, bypassing flows/resets — the hook for wired
+    physical couplings (e.g. the oximeter writing the supervisor's
+    ApprovalCondition). Use via [pte_sim]'s coupling API. *)
+
+(** The by-name forms resolve a ref on every call, and raise as the ref
+    constructors do. *)
+
 val location_of : t -> string -> string
+val value_of : t -> string -> Var.t -> float
+val set_value : t -> string -> Var.t -> float -> unit
+
 val valuation_of : t -> string -> Valuation.t
 (** A snapshot over exactly the automaton's declared variables. *)
 
-val value_of : t -> string -> Var.t -> float
-(** An undeclared variable reads 0, as in a {!Valuation.t}. *)
-
 val dwell_time : t -> string -> float
 (** Continuous dwell in the current location. *)
-
-val set_value : t -> string -> Var.t -> float -> unit
-(** Overwrite one variable, bypassing flows/resets — the hook for wired
-    physical couplings (e.g. the oximeter writing the supervisor's
-    ApprovalCondition). Use via [pte_sim]'s coupling API. Raises
-    [Invalid_argument] on a variable the automaton does not declare. *)
 
 val note : t -> string -> unit
 (** Append a free-form annotation to the trace. *)
@@ -192,8 +225,7 @@ val set_rate : t -> string -> float -> unit
 val rate : t -> string -> float
 
 val step : t -> unit
-(** Advance by one [config.dt] step. Raises [Invalid_argument] when an
-    {!Flow.Ode} returns a derivative for an undeclared variable. *)
+(** Advance by one [config.dt] step. *)
 
 val run : t -> until:float -> unit
 

@@ -1,13 +1,15 @@
-(** Slot kernels: guards, resets and constant-rate flows compiled to
-    arrays over one automaton's declared variables.
+(** Slot kernels: guards, resets and flows compiled to arrays over one
+    automaton's declared variables.
 
     The executor keeps each automaton's valuation as a [float array]
     indexed by {e slot}, the position of a variable in the automaton's
     [vars] list with duplicates dropped. The compiled forms below
     perform the same IEEE-754 operations, in the same order, as their
     list counterparts ({!Guard.holds}, {!Reset.apply},
-    {!Valuation.advance}, {!Valuation.interpolate}), so their results
-    are bit-identical; evaluating them allocates nothing. *)
+    {!Flow.derivatives} with {!Valuation.advance},
+    {!Valuation.interpolate}), so their results are bit-identical;
+    evaluating them allocates nothing (an ODE step allocates what its
+    function does). *)
 
 type layout = { names : Var.t array; index : int Var.Map.t }
 
@@ -121,6 +123,53 @@ let replay r values span k =
     for _ = 1 to k do
       step r values span
     done
+
+(* The scratch arrays live here, in a kernel one executor owns, and
+   never in the [Flow.ode] closure: campaign domains share a system's
+   automata, so a closure's arrays would be written by all of them. *)
+type ode = {
+  inputs : int array;  (* the slots of [reads] *)
+  outputs : int array;  (* the slots of [drives] *)
+  f : float -> float array -> float array -> unit;
+  read : float array;  (* the values of [reads], gathered before [f] *)
+  derivs : float array;  (* what [f] wrote *)
+}
+
+let ode l (o : Flow.ode) =
+  let slots vars = Array.of_list (List.map (slot_exn l) vars) in
+  let inputs = slots o.reads and outputs = slots o.drives in
+  {
+    inputs;
+    outputs;
+    f = o.f;
+    read = Array.make (Array.length inputs) 0.0;
+    derivs = Array.make (Array.length outputs) 0.0;
+  }
+
+(* Every derivative is computed from the values before the step, then
+   added in [drives] order, as [Valuation.advance] adds the list
+   [Flow.derivatives] returns. *)
+let ode_step o ~time values span =
+  for i = 0 to Array.length o.inputs - 1 do
+    o.read.(i) <- values.(o.inputs.(i))
+  done;
+  Array.fill o.derivs 0 (Array.length o.derivs) 0.0;
+  o.f time o.read o.derivs;
+  for j = 0 to Array.length o.outputs - 1 do
+    let s = o.outputs.(j) in
+    values.(s) <- values.(s) +. (o.derivs.(j) *. span)
+  done
+
+type flow = Rates of rates | Ode of ode
+
+let flow l = function
+  | Flow.Rates list -> Rates (rates l list)
+  | Flow.Ode o -> Ode (ode l o)
+
+let advance flow ~time values span =
+  match flow with
+  | Rates r -> step r values span
+  | Ode o -> ode_step o ~time values span
 
 let interpolate ~from ~target alpha into =
   for s = 0 to Array.length from - 1 do

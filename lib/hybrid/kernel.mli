@@ -1,14 +1,16 @@
-(** Slot kernels: guards, resets and constant-rate flows compiled to
-    arrays over one automaton's declared variables.
+(** Slot kernels: guards, resets and flows compiled to arrays over one
+    automaton's declared variables.
 
     A valuation becomes a [float array] indexed by {e slot}: the position
     of a variable in the automaton's [vars] list, duplicates dropped.
     Each compiled operation performs the same IEEE-754 operations in the
     same order as its list counterpart, so its results are bit-identical
-    to {!Guard.holds}, {!Reset.apply}, {!Valuation.advance} and
-    {!Valuation.interpolate} on a valuation over exactly those
-    variables, and evaluating them allocates nothing. The executor
-    builds them per location, the first time an automaton enters it. *)
+    to {!Guard.holds}, {!Reset.apply}, {!Flow.derivatives} with
+    {!Valuation.advance}, and {!Valuation.interpolate} on a valuation
+    over exactly those variables, and evaluating them allocates nothing
+    (an ODE step allocates only what its function does). The executor
+    builds them per location, the first time an automaton enters it, so
+    each executor owns its kernels and their scratch arrays. *)
 
 type layout
 (** The slot of each declared variable. *)
@@ -58,6 +60,20 @@ val step : rates -> float array -> float -> unit
 val replay : rates -> float array -> float -> int -> unit
 (** [replay r values span k] is [k] steps; nothing for a non-positive
     [span]. *)
+
+type ode
+(** The slots a {!Flow.ode} reads and drives, and the scratch arrays its
+    function reads and fills. *)
+
+type flow = Rates of rates | Ode of ode
+
+val flow : layout -> Flow.t -> flow
+
+val advance : flow -> time:float -> float array -> float -> unit
+(** [advance flow ~time values span] is one Euler step of [span]
+    seconds from [time]: {!step} for {!Rates}; for {!Ode}, every
+    derivative is computed from the values before the step, then
+    [derivative *. span] is added in [drives] order. *)
 
 val interpolate :
   from:float array -> target:float array -> float -> float array -> unit

@@ -14,23 +14,20 @@ let reset_reads (reset : Reset.t) =
       | Reset.Set_const _ -> acc)
     Var.Set.empty reset
 
+(* What a flow writes: an ODE may drive every variable it lists; a
+   constant rate drives its variable unless it is zero. *)
+let flow_writes = function
+  | Flow.Rates rates ->
+      List.fold_left
+        (fun s (v, r) -> if Float.abs r > Guard.eps then Var.Set.add v s else s)
+        Var.Set.empty rates
+  | Flow.Ode o -> Var.Set.of_list o.Flow.drives
+
 let check (a : Automaton.t) =
   let name = a.Automaton.name in
   let declared = List.fold_left (fun s v -> Var.Set.add v s) Var.Set.empty a.Automaton.vars in
-  let has_ode =
-    List.exists
-      (fun (l : Location.t) -> Flow.constant_rates l.Location.flow = None)
-      a.Automaton.locations
-  in
-  let flow_vars =
-    union_map
-      (fun (l : Location.t) ->
-        match Flow.constant_rates l.Location.flow with
-        | Some rates ->
-            List.fold_left (fun s (v, _) -> Var.Set.add v s) Var.Set.empty rates
-        | None -> Var.Set.empty)
-      a.Automaton.locations
-  in
+  let flows = List.map (fun (l : Location.t) -> l.Location.flow) a.Automaton.locations in
+  let flow_vars = union_map Flow.vars flows in
   let guard_reads =
     Var.Set.union
       (union_map (fun (l : Location.t) -> Guard.vars l.Location.invariant)
@@ -39,7 +36,9 @@ let check (a : Automaton.t) =
   in
   let reads =
     Var.Set.union guard_reads
-      (union_map (fun (e : Edge.t) -> reset_reads e.Edge.reset) a.Automaton.edges)
+      (Var.Set.union
+         (union_map (fun (e : Edge.t) -> reset_reads e.Edge.reset) a.Automaton.edges)
+         (union_map (fun f -> Var.Set.of_list (Flow.reads f)) flows))
   in
   let reset_writes = union_map (fun (e : Edge.t) -> Reset.vars e.Edge.reset) a.Automaton.edges in
   let writes =
@@ -48,16 +47,7 @@ let check (a : Automaton.t) =
          (List.fold_left
             (fun s (v, _) -> Var.Set.add v s)
             Var.Set.empty a.Automaton.initial_values)
-         (union_map
-            (fun (l : Location.t) ->
-              match Flow.constant_rates l.Location.flow with
-              | Some rates ->
-                  List.fold_left
-                    (fun s (v, r) ->
-                      if Float.abs r > Guard.eps then Var.Set.add v s else s)
-                    Var.Set.empty rates
-              | None -> Var.Set.empty)
-            a.Automaton.locations))
+         (union_map flow_writes flows))
   in
   let used = Var.Set.union flow_vars (Var.Set.union reads writes) in
   let undeclared =
@@ -66,29 +56,27 @@ let check (a : Automaton.t) =
            Diagnostic.v ~automaton:name "L030"
              (Fmt.str "variable %S is used but not declared" v))
   in
-  if has_ode then undeclared
-  else
-    let never_written =
-      Var.Set.diff (Var.Set.inter reads declared) writes
-      |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L031"
-               (Fmt.str
-                  "variable %S is read but never initialized, reset, or \
-                   driven: it is constant 0"
-                  v))
-    in
-    let never_read =
-      Var.Set.diff (Var.Set.inter reset_writes declared) reads
-      |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L032"
-               (Fmt.str "variable %S is reset but its value is never read" v))
-    in
-    let unused =
-      Var.Set.diff declared used |> Var.Set.elements
-      |> List.map (fun v ->
-             Diagnostic.v ~automaton:name "L033"
-               (Fmt.str "declared variable %S is never used" v))
-    in
-    undeclared @ never_written @ never_read @ unused
+  let never_written =
+    Var.Set.diff (Var.Set.inter reads declared) writes
+    |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L031"
+             (Fmt.str
+                "variable %S is read but never initialized, reset, or \
+                 driven: it is constant 0"
+                v))
+  in
+  let never_read =
+    Var.Set.diff (Var.Set.inter reset_writes declared) reads
+    |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L032"
+             (Fmt.str "variable %S is reset but its value is never read" v))
+  in
+  let unused =
+    Var.Set.diff declared used |> Var.Set.elements
+    |> List.map (fun v ->
+           Diagnostic.v ~automaton:name "L033"
+             (Fmt.str "declared variable %S is never used" v))
+  in
+  undeclared @ never_written @ never_read @ unused

@@ -5,14 +5,18 @@
     advances the automata; the {!Pte_net.Star} router decides each
     event's fate on the air; {e processes} model everything outside the
     automata formalism — the surgeon's random timers, the oximeter wired
-    to the supervisor, the patient's coupling to the ventilator. *)
+    to the supervisor, the patient's coupling to the ventilator.
+
+    The step loop runs the processes from an array, with their due
+    times in an unboxed [float array], so polling them allocates
+    nothing; a process that reads or writes an automaton every step
+    holds {!Pte_hybrid.Executor} refs resolved when it registers. *)
 
 open Pte_hybrid
 
 type process = {
   name : string;
-  period : float;
-  mutable next_due : float;
+  gap : float;  (* the period, at least 1 ns *)
   action : t -> time:float -> unit;
 }
 
@@ -21,7 +25,8 @@ and t = {
   net : Pte_net.Star.t option;
   transport : Pte_net.Transport.t option;
   rng : Pte_util.Rng.t;
-  mutable processes : process list;
+  mutable processes : process array;  (* in registration order *)
+  mutable due : float array;  (* [due.(i)]: when process [i] next runs *)
 }
 
 let create ?(config = Executor.default_config) ?net
@@ -48,7 +53,7 @@ let create ?(config = Executor.default_config) ?net
         Executor.set_router exec (Pte_net.Transport.router t);
         Some t
   in
-  { exec; net; transport; rng; processes = [] }
+  { exec; net; transport; rng; processes = [||]; due = [||] }
 
 let executor t = t.exec
 let network t = t.net
@@ -62,8 +67,9 @@ let fork_rng t = Pte_util.Rng.split t.rng
 (** Register a periodic process. [period] defaults to the executor step,
     i.e. the process observes every simulation instant. *)
 let add_process t ?(period = 0.0) ~name action =
-  t.processes <-
-    t.processes @ [ { name; period; next_due = 0.0; action } ]
+  let p = { name; gap = Float.max period 1e-9; action } in
+  t.processes <- Array.append t.processes [| p |];
+  t.due <- Array.append t.due [| 0.0 |]
 
 let inject t ~receiver ~root =
   ignore (Executor.inject t.exec ~receiver ~root)
@@ -79,15 +85,16 @@ let restart t name = Executor.restart t.exec name
 let is_halted t name = Executor.is_halted t.exec name
 let set_rate t name rate = Executor.set_rate t.exec name rate
 
+(* A process registered by an action first runs at the next poll. *)
 let run_processes t =
   let now = time t in
-  List.iter
-    (fun p ->
-      if now >= p.next_due -. 1e-12 then begin
-        p.action t ~time:now;
-        p.next_due <- now +. Float.max p.period 1e-9
-      end)
-    t.processes
+  for i = 0 to Array.length t.processes - 1 do
+    if now >= t.due.(i) -. 1e-12 then begin
+      let p = t.processes.(i) in
+      p.action t ~time:now;
+      t.due.(i) <- now +. p.gap
+    end
+  done
 
 (** Run to [until], interleaving processes with executor steps. *)
 let run t ~until =

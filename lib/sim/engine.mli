@@ -1,6 +1,13 @@
 (** Simulation engine: a hybrid-system executor coupled to the wireless
     star network and to periodic environment processes — the Fig. 7(b)
-    emulation testbed in software. *)
+    emulation testbed in software.
+
+    {!run} polls the processes from an array, with their due times in an
+    unboxed [float array], so the poll allocates nothing. A process that
+    acts every step should resolve the automata and variables it touches
+    into {!Pte_hybrid.Executor} refs when it registers, as
+    {!Scenario}'s combinators do; the by-name {!location_of},
+    {!value_of} and {!set_value} look the name up on every call. *)
 
 type t
 
@@ -34,7 +41,8 @@ val fork_rng : t -> Pte_util.Rng.t
 val add_process :
   t -> ?period:float -> name:string -> (t -> time:float -> unit) -> unit
 (** Register a periodic environment process; [period] defaults to every
-    executor step. *)
+    executor step. Processes run in registration order; one registered
+    by a running process first runs at the next poll. *)
 
 val inject : t -> receiver:string -> root:string -> unit
 (** Deliver an environment stimulus now (lossless, local). *)

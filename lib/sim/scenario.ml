@@ -4,7 +4,14 @@
     events (Section V): the surgeon's request timer Ton, the surgeon's
     cancel timer Toff (both exponential), and the supervisor's abort when
     the ApprovalCondition fails. These combinators reproduce that setup
-    and generalize it for the other examples. *)
+    and generalize it for the other examples.
+
+    Each combinator resolves the automata and variables it names into
+    {!Pte_hybrid.Executor} refs when it registers its process, so an
+    unknown name fails at registration, and the process, which runs
+    every step or every period, looks up no name. *)
+
+open Pte_hybrid
 
 (** Arm an exponential timer whenever [automaton] dwells in [armed_in];
     when it fires and the automaton is still there, inject [root]
@@ -17,12 +24,13 @@
     single-episode scenario tests). *)
 let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
     ~armed_in ~root () =
+  let exec = Engine.executor engine in
+  let target = Executor.automaton_ref exec automaton in
   let rng = Engine.fork_rng engine in
   let deadline = ref None in
   let first = ref immediately in
   Engine.add_process engine ~name:(root ^ "-timer") (fun engine ~time ->
-      let here = Engine.location_of engine automaton in
-      if String.equal here armed_in then
+      if String.equal (Executor.location exec target) armed_in then
         match !deadline with
         | None ->
             let delay =
@@ -40,10 +48,12 @@ let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
 (** Inject [root] exactly once, the first time [automaton] dwells in
     [armed_in] at or after [at]. *)
 let one_shot engine ~at ~automaton ~armed_in ~root =
+  let exec = Engine.executor engine in
+  let target = Executor.automaton_ref exec automaton in
   let done_ = ref false in
   Engine.add_process engine ~name:(root ^ "-oneshot") (fun engine ~time ->
       if (not !done_) && time >= at then
-        if String.equal (Engine.location_of engine automaton) armed_in then begin
+        if String.equal (Executor.location exec target) armed_in then begin
           done_ := true;
           Engine.inject engine ~receiver:automaton ~root
         end)
@@ -54,15 +64,19 @@ let one_shot engine ~at ~automaton ~armed_in ~root =
     component RNG (for sensor noise). *)
 let wired_sensor engine ~period ~from:(src_automaton, src_var)
     ~to_:(dst_automaton, dst_var) ?(transform = fun _rng v -> v) () =
+  let exec = Engine.executor engine in
+  let src = Executor.var_ref exec src_automaton src_var in
+  let dst = Executor.var_ref exec dst_automaton dst_var in
   let rng = Engine.fork_rng engine in
   Engine.add_process engine ~period ~name:(src_var ^ "-sensor")
-    (fun engine ~time:_ ->
-      let raw = Engine.value_of engine src_automaton src_var in
-      Engine.set_value engine dst_automaton dst_var (transform rng raw))
+    (fun _engine ~time:_ ->
+      Executor.set exec dst (transform rng (Executor.get exec src)))
 
 (** Every step, write [f engine] into [automaton.var] — for physical
     couplings such as "the patient is being ventilated iff the
     ventilator dwells in a ventilating location". *)
 let coupling engine ~automaton ~var f =
+  let exec = Engine.executor engine in
+  let target = Executor.var_ref exec automaton var in
   Engine.add_process engine ~name:(var ^ "-coupling") (fun engine ~time:_ ->
-      Engine.set_value engine automaton var (f engine))
+      Executor.set exec target (f engine))

@@ -1,6 +1,11 @@
 (** Scenario combinators for the environment behaviours outside the
     automata formalism: the paper's Ton/Toff surgeon timers, wired
-    sensors, and physical couplings. *)
+    sensors, and physical couplings.
+
+    Each combinator resolves the names it is given into
+    {!Pte_hybrid.Executor} refs when it registers, so it raises
+    [Invalid_argument] then on an unknown automaton or an undeclared
+    variable, and its process looks up no name as it runs. *)
 
 val exponential_stimulus :
   Engine.t ->

@@ -161,10 +161,10 @@ let install engine ~supervisor config =
   | None -> ()
   | Some transport ->
       let exec = Pte_sim.Engine.executor engine in
-      let force_deny () =
-        Pte_sim.Engine.set_value engine supervisor
-          Pte_core.Pattern.approval_var 0.0
+      let approval =
+        Pte_hybrid.Executor.var_ref exec supervisor Pte_core.Pattern.approval_var
       in
+      let force_deny () = Pte_hybrid.Executor.set exec approval 0.0 in
       let arm_exit ~at =
         ignore
           (Pte_hybrid.Executor.schedule exec ~owner:supervisor ~at (fun _exec ->

@@ -229,10 +229,11 @@ let build (config : config) =
     ~e_toff:config.e_toff;
   (* record the patient's SpO2 trajectory envelope *)
   let spo2_stats = Pte_util.Stats.Online.create () in
+  let exec = Pte_sim.Engine.executor engine in
+  let spo2 = Executor.var_ref exec Patient.name Patient.spo2_var in
   Pte_sim.Engine.add_process engine ~period:0.5 ~name:"spo2-probe"
-    (fun engine ~time:_ ->
-      Pte_util.Stats.Online.add spo2_stats
-        (Pte_sim.Engine.value_of engine Patient.name Patient.spo2_var));
+    (fun _engine ~time:_ ->
+      Pte_util.Stats.Online.add spo2_stats (Executor.get exec spo2));
   let spec =
     Pte_core.Rules.of_params_with_bounds params ~dwell_bound:config.dwell_bound
   in

@@ -27,14 +27,17 @@ let decay_rate = 0.16  (* %/s while ventilation is paused *)
 let automaton =
   let flow =
     Flow.Ode
-      (fun _time valuation ->
-        let spo2 = Valuation.get valuation spo2_var in
-        let ventilated = Valuation.get valuation vent_ok_var >= 0.5 in
-        let d_spo2 =
-          if ventilated then recovery_rate *. (healthy_spo2 -. spo2)
-          else -.decay_rate
-        in
-        [ (spo2_var, d_spo2) ])
+      {
+        reads = [ spo2_var; vent_ok_var ];
+        drives = [ spo2_var ];
+        f =
+          (fun _time x dx ->
+            let spo2 = x.(0) in
+            let ventilated = x.(1) >= 0.5 in
+            dx.(0) <-
+              (if ventilated then recovery_rate *. (healthy_spo2 -. spo2)
+               else -.decay_rate));
+      }
   in
   Automaton.make ~name ~vars:[ spo2_var; vent_ok_var ]
     ~locations:[ Location.make ~flow "Body" ]
@@ -46,8 +49,9 @@ let automaton =
     reflects whether the ventilator automaton dwells in a ventilating
     location. *)
 let couple_to_ventilator engine ~ventilator =
+  let exec = Pte_sim.Engine.executor engine in
+  let vent = Executor.automaton_ref exec ventilator in
   Pte_sim.Scenario.coupling engine ~automaton:name ~var:vent_ok_var
-    (fun engine ->
-      if Ventilator.is_ventilating (Pte_sim.Engine.location_of engine ventilator)
-      then 1.0
+    (fun _engine ->
+      if Ventilator.is_ventilating (Executor.location exec vent) then 1.0
       else 0.0)

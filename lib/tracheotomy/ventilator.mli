@@ -21,5 +21,6 @@ val participant : ?lease:bool -> Pte_core.Params.t -> Pte_hybrid.Automaton.t
     elaborated at "Fall-Back" with A′vent. It pumps in Fall-Back and
     freezes (pauses ventilation) anywhere else. *)
 
-val ventilating_locations : string list
 val is_ventilating : string -> bool
+(** [PumpOut] and [PumpIn]: the pump is live there and frozen anywhere
+    else. *)

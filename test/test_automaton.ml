@@ -77,6 +77,23 @@ let test_undeclared_flow_var () =
   in
   expect_invalid bad "flow of \"A\" mentions undeclared variable \"q\""
 
+let test_undeclared_ode_var () =
+  (* an ODE names what it reads and drives, so both lists are checked
+     as a [Rates] flow's variables are *)
+  let ode ~reads ~drives =
+    Automaton.make ~name:"ode" ~vars:[ "x" ]
+      ~locations:
+        [ Location.make ~flow:(Flow.Ode { reads; drives; f = (fun _ _ _ -> ()) }) "A" ]
+      ~edges:[] ~initial_location:"A" ()
+  in
+  expect_invalid (ode ~reads:[ "q" ] ~drives:[ "x" ])
+    "flow of \"A\" mentions undeclared variable \"q\"";
+  expect_invalid (ode ~reads:[ "x" ] ~drives:[ "x"; "r" ])
+    "flow of \"A\" mentions undeclared variable \"r\"";
+  match Automaton.validate (ode ~reads:[ "x" ] ~drives:[ "x"; "x" ]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "declared ODE refused: %s" (String.concat "; " e)
+
 let test_initial_violating_invariant () =
   let a = tiny () in
   let locations =
@@ -206,5 +223,6 @@ let suite =
         Alcotest.test_case "system validation" `Quick test_system_validate;
         Alcotest.test_case "system listeners" `Quick test_system_listeners;
         Alcotest.test_case "undeclared flow var" `Quick test_undeclared_flow_var;
+        Alcotest.test_case "undeclared ODE var" `Quick test_undeclared_ode_var;
       ] );
   ]

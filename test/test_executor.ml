@@ -212,7 +212,9 @@ let test_ode_integration_accuracy () =
     Automaton.make ~name:"decay" ~vars:[ "x" ]
       ~locations:
         [ Location.make
-            ~flow:(Flow.Ode (fun _t v -> [ ("x", -.Valuation.get v "x") ]))
+            ~flow:
+              (Flow.Ode
+                 { reads = [ "x" ]; drives = [ "x" ]; f = (fun _t x dx -> dx.(0) <- -.x.(0)) })
             "Run" ]
       ~edges:[] ~initial_location:"Run" ~initial_values:[ ("x", 1.0) ] ()
   in
@@ -553,7 +555,14 @@ let mixed_automaton ~name ~initial (c : float array) =
         Location.make
           ~flow:
             (Flow.Ode
-               (fun _ v -> [ ("z", 0.1 -. (0.2 *. Valuation.get v "z")); ("x", 0.5) ]))
+               {
+                 reads = [ "z" ];
+                 drives = [ "z"; "x" ];
+                 f =
+                   (fun _ v dv ->
+                     dv.(0) <- 0.1 -. (0.2 *. v.(0));
+                     dv.(1) <- 0.5);
+               })
           "Ode";
         Location.make "Frozen" ]
     ~edges:
@@ -725,16 +734,50 @@ let test_set_value_undeclared () =
         (Executor.valuation_of exec "clk")
   | exception Invalid_argument _ -> ()
 
+let test_value_of_undeclared () =
+  (* [value_of exec "patient" "spo22"] used to read 0 for the typo *)
+  let exec = Executor.create (system_of [ clock_automaton () ]) in
+  List.iter
+    (fun (name, var) ->
+      match Executor.value_of exec name var with
+      | x -> Alcotest.failf "value_of %s.%s read %g" name var x
+      | exception Invalid_argument _ -> ())
+    [ ("clk", "q"); ("nobody", "c") ]
+
+let test_sample_vars_checked () =
+  (* a misspelt entry used to record zeros (or nothing) for the whole
+     run *)
+  List.iter
+    (fun (name, var) ->
+      let config = { Executor.default_config with sample_vars = [ ("clk", "c"); (name, var) ] } in
+      match Executor.create ~config (system_of [ clock_automaton () ]) with
+      | _ -> Alcotest.failf "create accepted sample_vars entry %s.%s" name var
+      | exception Invalid_argument _ -> ())
+    [ ("clk", "q"); ("nobody", "c") ]
+
 let test_ode_undeclared () =
+  (* the ODE declares what it drives, so the executor refuses it at
+     construction instead of at its first step *)
   let a =
     Automaton.make ~name:"leaky" ~vars:[ "x" ]
       ~locations:
-        [ Location.make ~flow:(Flow.Ode (fun _ _ -> [ ("x", 1.0); ("q", 2.0) ])) "L" ]
+        [ Location.make
+            ~flow:
+              (Flow.Ode
+                 {
+                   reads = [];
+                   drives = [ "x"; "q" ];
+                   f =
+                     (fun _ _ dx ->
+                       dx.(0) <- 1.0;
+                       dx.(1) <- 2.0);
+                 })
+            "L" ]
       ~edges:[] ~initial_location:"L" ()
   in
-  let exec = Executor.create (system_of [ a ]) in
-  match Executor.step exec with
-  | () ->
+  match Executor.create (system_of [ a ]) with
+  | exec ->
+      Executor.step exec;
       Alcotest.failf "an ODE drove an undeclared variable: %a" Valuation.pp
         (Executor.valuation_of exec "leaky")
   | exception Invalid_argument _ -> ()
@@ -815,9 +858,11 @@ let test_kernels_built_on_entry () =
 
 (* Minor words per step repeat exactly from run to run, so the budgets
    are fixed numbers: a closure or boxed float that creeps back into the
-   step loop shows here. The budgets hold the Table-I trial (~56 words
-   per step, 34 of them the patient's ODE) and the chain (~19) with
-   headroom; the list-valuation executor took ~297 and ~180. *)
+   step loop shows here. The name-free step loop (slot ODEs, the
+   process array, resolved refs) allocates ~2.9 words per step on the
+   Table-I trial and ~2.3 on the chain, mostly the boxed clock; the
+   budgets leave headroom over that. Before it the two took ~56 and
+   ~19, and the list-valuation executor ~297 and ~180. *)
 let words_per_step engine ~until =
   let exec = Pte_sim.Engine.executor engine in
   let s0 = (Executor.stats exec).Executor.sweeps in
@@ -830,10 +875,10 @@ let test_step_allocation () =
   let engine, horizon = table1_trial () in
   let trial = words_per_step engine ~until:horizon in
   let chain = words_per_step (scale_chain ~n:256) ~until:60.0 in
-  if trial > 110.0 then
-    Alcotest.failf "Table-I trial: %.1f minor words per step, budget 110" trial;
-  if chain > 40.0 then
-    Alcotest.failf "N = 256 chain: %.1f minor words per step, budget 40" chain
+  if trial > 16.0 then
+    Alcotest.failf "Table-I trial: %.1f minor words per step, budget 16" trial;
+  if chain > 6.0 then
+    Alcotest.failf "N = 256 chain: %.1f minor words per step, budget 6" chain
 
 let test_trace_sink_streams () =
   let seen = ref 0 in
@@ -894,6 +939,10 @@ let suite =
         Alcotest.test_case "trace sink streams" `Quick test_trace_sink_streams;
         Alcotest.test_case "set_value refuses undeclared variables" `Quick
           test_set_value_undeclared;
+        Alcotest.test_case "value_of refuses undeclared variables" `Quick
+          test_value_of_undeclared;
+        Alcotest.test_case "sample_vars checked at create" `Quick
+          test_sample_vars_checked;
         Alcotest.test_case "ODE on an undeclared variable raises" `Quick
           test_ode_undeclared;
         Alcotest.test_case "stats repeat exactly" `Quick test_stats_deterministic;

@@ -21,7 +21,7 @@ let test_rate_of () =
 
 let test_ode () =
   let flow =
-    Flow.Ode (fun _t v -> [ ("x", -.Valuation.get v "x") ])
+    Flow.Ode { reads = [ "x" ]; drives = [ "x" ]; f = (fun _t x dx -> dx.(0) <- -.x.(0)) }
   in
   let v = Valuation.of_list [ ("x", 4.0) ] in
   Alcotest.(check (float 1e-12)) "ode rate" (-4.0)
@@ -34,11 +34,19 @@ let test_combine_rates () =
   Alcotest.(check (float 0.0)) "b" 2.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "b")
 
 let test_combine_with_ode () =
-  let ode = Flow.Ode (fun _ _ -> [ ("x", 5.0) ]) in
+  let ode = Flow.Ode { reads = []; drives = [ "x" ]; f = (fun _ _ dx -> dx.(0) <- 5.0) } in
   let combined = Flow.combine (Flow.Rates [ ("c", 1.0) ]) ode in
   Alcotest.(check bool) "becomes ode" false (Flow.is_constant_rate combined);
   Alcotest.(check (float 0.0)) "c" 1.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "c");
-  Alcotest.(check (float 0.0)) "x" 5.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "x")
+  Alcotest.(check (float 0.0)) "x" 5.0 (Flow.rate_of combined ~time:0.0 Valuation.empty "x");
+  (* each side of a combined ODE reads its own inputs *)
+  let scaled var k =
+    Flow.Ode { reads = [ var ]; drives = [ var ]; f = (fun _ x dx -> dx.(0) <- k *. x.(0)) }
+  in
+  let both = Flow.combine (scaled "a" (-1.0)) (scaled "b" 2.0) in
+  let v = Valuation.of_list [ ("a", 3.0); ("b", 4.0) ] in
+  Alcotest.(check (float 0.0)) "a" (-3.0) (Flow.rate_of both ~time:0.0 v "a");
+  Alcotest.(check (float 0.0)) "b" 8.0 (Flow.rate_of both ~time:0.0 v "b")
 
 let test_reset_identity () =
   let v = Valuation.of_list [ ("x", 3.0) ] in

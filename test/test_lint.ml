@@ -198,6 +198,22 @@ let l031 =
   check_fixture ~code:"L031" ~positive:(l031_system [])
     ~negative:(l031_system [ ("w", 0.0) ])
 
+(* L031 through an ODE: the field reads [w], which nothing writes / the
+   field also drives [w]. An ODE declares what it reads and drives, so
+   its automaton gets L031-L033 like any other. *)
+let l031_ode_system drives =
+  let flow = Flow.Ode { reads = [ "w" ]; drives; f = (fun _ x dx -> dx.(0) <- x.(0)) } in
+  lint
+    [
+      auto ~vars:[ "w"; "x" ] ~initial_values:[ ("x", 1.0) ]
+        ~locations:[ loc ~flow "A" ]
+        ~edges:[] ~init:"A" "M";
+    ]
+
+let l031_ode =
+  check_fixture ~code:"L031" ~positive:(l031_ode_system [ "x" ])
+    ~negative:(l031_ode_system [ "x"; "w" ])
+
 (* L032: reset never read / read by a guard *)
 let l032_system ~read =
   lint
@@ -375,7 +391,7 @@ let gen_automaton =
     oneof
       [
         map (fun r -> Flow.Rates r) rates;
-        return (Flow.Ode (fun _ _ -> [ ("x", 1.0) ]));
+        return (Flow.Ode { reads = []; drives = [ "x" ]; f = (fun _ _ dx -> dx.(0) <- 1.0) });
       ]
   in
   let location name =
@@ -479,6 +495,7 @@ let suite =
         Alcotest.test_case "L020 risky without self-reset" `Quick l020;
         Alcotest.test_case "L030 undeclared variable" `Quick l030;
         Alcotest.test_case "L031 read never written" `Quick l031;
+        Alcotest.test_case "L031 read by an ODE" `Quick l031_ode;
         Alcotest.test_case "L032 reset never read" `Quick l032;
         Alcotest.test_case "L033 declared never used" `Quick l033;
         Alcotest.test_case "L040 time-block lifted" `Quick l040;
