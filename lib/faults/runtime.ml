@@ -16,13 +16,14 @@ let install plan engine =
           Pte_sim.Engine.set_rate engine entity factor
       | Plan.Crash { entity; at; blackout } ->
           let stage = ref `Waiting in
+          let clock = Pte_sim.Engine.clock engine in
           Pte_sim.Engine.add_process engine ~name:(entity ^ "-crash-fault")
-            (fun engine ~time ->
+            (fun engine ->
               match !stage with
-              | `Waiting when time >= at ->
+              | `Waiting when clock.now >= at ->
                   Pte_sim.Engine.halt engine entity;
                   stage := `Down
-              | `Down when time >= at +. blackout ->
+              | `Down when clock.now >= at +. blackout ->
                   Pte_sim.Engine.restart engine entity;
                   stage := `Done
               | _ -> ()))

@@ -42,18 +42,24 @@
     is time-sensitive — instead of scanning the whole system every
     fixpoint round, and allocates nothing in a round that fires
     nothing; and the continuous sweep, which allocates nothing either,
-    skips automata whose location is {e lazy}
-    (constant-rate flow, no invariant, no eager spontaneous edge),
-    replaying their skipped Euler additions only when something reads
-    or writes their valuation. Because [seq] is the insertion order and
-    breaks [due] ties exactly as a sorted list does, quiescent automata
-    contribute nothing to a fixpoint round, and the kernels and the
-    replay perform the same float operations in the same order as the
-    list-based {!Guard}, {!Reset} and {!Valuation} functions, traces and
-    valuations are bit-identical to the reference engine:
-    [~queue:`Legacy_list] keeps a sorted-list queue, full-scan
-    stabilization and a full sweep, for the S1 benchmark baseline and
-    the differential tests. *)
+    skips {e sleeping} automata: one in a constant-rate location sleeps
+    from the chase that leaves it at its fixpoint until the first sweep
+    at which an atom of its invariant or eager guards answers
+    differently, found by replaying the Euler additions ahead of time
+    ({!Kernel.next_flip}) and queued in a wake heap, and its skipped
+    additions are replayed only when something reads or writes its
+    valuation or the sweep wakes it. The clock is an unboxed float,
+    boxed at most once per instant, when a read escapes into a call.
+    Because [seq] is the insertion order and breaks [due] ties exactly
+    as a sorted list does, quiescent automata contribute nothing to a
+    fixpoint round, a sleeping automaton is woken no later than the
+    sweep whose step the full sweep would see change anything, and the
+    kernels, the search and the replay perform the same float
+    operations in the same order as the list-based {!Guard}, {!Reset}
+    and {!Valuation} functions, traces and valuations are bit-identical
+    to the reference engine: [~queue:`Legacy_list] keeps a sorted-list
+    queue, full-scan stabilization and a full sweep, for the S1
+    benchmark baseline and the differential tests. *)
 
 exception Time_block of { automaton : string; location : string; time : float }
 exception Zeno of { automaton : string; time : float }
@@ -93,6 +99,8 @@ type queue_kind = [ `Heap | `Legacy_list ]
 type stats = {
   sweeps : int;
   awake_visits : int;
+  wakes : int;
+  early_wakes : int;
   replays : int;
   bisections : int;
   chases : int;
@@ -101,14 +109,30 @@ type stats = {
   peak_queue : int;
 }
 
+(* The trace events an edge's firings record: its [Transition],
+   unforced and forced, and the root it sends with its [Message_sent].
+   Trace events are immutable, so every firing of the edge shares
+   them. *)
+type firing = {
+  taken : Trace.event;
+  taken_forced : Trace.event;
+  sends : (string * Trace.event) option;
+}
+
 (* An edge compiled over its automaton's slots. *)
-type cedge = { edge : Edge.t; guard : Kernel.guard; reset : Kernel.reset }
+type cedge = {
+  edge : Edge.t;
+  guard : Kernel.guard;
+  reset : Kernel.reset;
+  mutable firing : firing option;  (* built at its first firing *)
+}
 
 (* A location's kernel. The edge arrays keep declaration order, so
    "first enabled edge" picks the same edge a linear scan of the
    automaton's edges does. *)
 type kernel = {
   loc : Location.t;
+  entered : Trace.event;  (* its [Enter_location] *)
   invariant : Kernel.guard;
   flow : Kernel.flow;
   eager : cedge array;  (* spontaneous + Eager *)
@@ -117,9 +141,11 @@ type kernel = {
   has_eager : bool;
       (* whether time passage alone can enable a transition here: if not,
          the automaton needs no eager re-chase after a continuous step *)
-  is_lazy : bool;
-      (* a step here only adds [rate * span] to each listed variable:
-         the flow is [Rates], the invariant is [] and [eager] is empty *)
+  sleepable : bool;
+      (* the flow is [Rates] and the engine sleeps automata: between
+         discrete changes, a step here only adds [rate * span] to each
+         listed variable until an atom of [watch] answers differently *)
+  watch : Kernel.watch;  (* the invariant's and the eager guards' atoms *)
 }
 
 type automaton_state = {
@@ -133,8 +159,11 @@ type automaton_state = {
   mutable kernel : kernel;  (* the current location's *)
   values : float array;  (* the valuation, by slot *)
   mutable synced : int;
-      (* number of sweeps already applied to [values]; a lazy automaton
-         lags behind and catches up in {!sync} *)
+      (* number of sweeps already applied to [values]; a sleeping
+         automaton lags behind and catches up in {!sync} *)
+  mutable asleep : bool;
+      (* the sweep skips it: out of [awake], and queued in [alarms] at
+         the sweep that must visit it again, if there is one *)
   mutable entered_at : float;
   mutable halted : bool;
       (* crashed node: flows frozen, edges disabled, receptions dropped *)
@@ -150,16 +179,35 @@ type token = int
 (* A variable resolved to its automaton's index and its slot there. *)
 type var_ref = { member : int; slot : int }
 
+(* A float-only record stores its field unboxed, so a step moves the
+   clock without allocating. *)
+type clock = { mutable now : float }
+
+(* {2 The wake schedule}
+
+   The sleeping automata that must be visited again at a given sweep,
+   in a binary min-heap on that sweep. [pos] finds an automaton's
+   entry, so an early wake takes it out and no automaton is queued
+   twice. *)
+type alarms = {
+  heap : int array;  (* automaton indices; the first [len] in heap order *)
+  pos : int array;  (* automaton index -> its heap position, or -1 *)
+  due : int array;  (* automaton index -> its wake sweep, while queued *)
+  mutable len : int;
+}
+
 type t = {
   system : System.t;
   config : config;
-  mutable now : float;
+  clock : clock;
+  mutable now_box : float;
+      (* [clock.now] boxed, renewed only when a boxed read finds it stale *)
   states : automaton_state array;
   index : (string, int) Hashtbl.t;  (* automaton name -> states index *)
   listeners : (string, int array) Hashtbl.t;
       (* root -> listener indices, in system declaration order *)
   queue : queue;
-  lazy_ok : bool;  (* the heap engine classifies locations as lazy *)
+  sleep_ok : bool;  (* the heap engine puts automata to sleep *)
   tentative : float array;
   probe : float array;
       (* scratch valuations of the invariant check and its bisection,
@@ -171,8 +219,8 @@ type t = {
   samples : (string * Var.t * var_ref) list;  (* [config.sample_vars] *)
   mutable next_sample : float;
   awake : int array;
-      (* bitset of the automata whose location is not lazy: the sweep
-         visits only these *)
+      (* bitset of the automata not asleep: the sweep visits only these *)
+  alarms : alarms;
   active : int array;
       (* bitset of the automata that need an eager re-chase in the next
          stabilization round *)
@@ -181,6 +229,8 @@ type t = {
       (* during a sweep, the index being advanced: automata below it
          have already taken the current sweep; 0 outside a sweep *)
   mutable awake_visits : int;
+  mutable wakes : int;
+  mutable early_wakes : int;
   mutable replays : int;
   mutable bisections : int;
   mutable chases : int;
@@ -369,6 +419,54 @@ let bit_clear bits i =
   let w = i / word_bits in
   bits.(w) <- bits.(w) land lnot (1 lsl (i mod word_bits))
 
+let alarms_create n =
+  { heap = Array.make n 0; pos = Array.make n (-1); due = Array.make n 0; len = 0 }
+
+let alarm_swap (a : alarms) i j =
+  let x = a.heap.(i) and y = a.heap.(j) in
+  a.heap.(i) <- y;
+  a.pos.(y) <- i;
+  a.heap.(j) <- x;
+  a.pos.(x) <- j
+
+let rec alarm_up (a : alarms) i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && a.due.(a.heap.(i)) < a.due.(a.heap.(parent)) then begin
+    alarm_swap a i parent;
+    alarm_up a parent
+  end
+
+let rec alarm_down (a : alarms) i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let m = if l < a.len && a.due.(a.heap.(l)) < a.due.(a.heap.(i)) then l else i in
+  let m = if r < a.len && a.due.(a.heap.(r)) < a.due.(a.heap.(m)) then r else m in
+  if m <> i then begin
+    alarm_swap a i m;
+    alarm_down a m
+  end
+
+(* Precondition: [ix] is not queued. *)
+let alarm_add (a : alarms) ix due =
+  a.due.(ix) <- due;
+  a.heap.(a.len) <- ix;
+  a.pos.(ix) <- a.len;
+  a.len <- a.len + 1;
+  alarm_up a (a.len - 1)
+
+let alarm_remove (a : alarms) ix =
+  let i = a.pos.(ix) in
+  if i >= 0 then begin
+    a.pos.(ix) <- -1;
+    a.len <- a.len - 1;
+    if i < a.len then begin
+      let last = a.heap.(a.len) in
+      a.heap.(i) <- last;
+      a.pos.(last) <- i;
+      alarm_up a i;
+      alarm_down a a.pos.(last)
+    end
+  end
+
 (* {2 Kernels}
 
    A location is compiled the first time its automaton enters it, and
@@ -376,10 +474,16 @@ let bit_clear bits i =
    are shared by every campaign domain that runs it, and most of the
    thousands of supervisor locations at N = 1024 are never entered. *)
 
-let compile_edge layout (e : Edge.t) =
-  { edge = e; guard = Kernel.guard layout e.guard; reset = Kernel.reset layout e.reset }
+(* A watch with no atom: for a location nothing sleeps in, and for one
+   with no invariant and no eager edge, which a sleeper never leaves by
+   itself. *)
+let no_watch = Kernel.watch [] (Kernel.rates (Kernel.layout []) [])
 
-let build_kernel ~lazy_ok layout (loc : Location.t) edges =
+let compile_edge layout (e : Edge.t) =
+  { edge = e; guard = Kernel.guard layout e.guard; reset = Kernel.reset layout e.reset;
+    firing = None }
+
+let build_kernel ~owner ~sleep_ok layout (loc : Location.t) edges =
   let edges = List.map (compile_edge layout) edges in
   let spontaneous = List.filter (fun ce -> Edge.is_spontaneous ce.edge) edges in
   let eager = List.filter (fun ce -> ce.edge.Edge.urgency = Edge.Eager) spontaneous in
@@ -406,30 +510,45 @@ let build_kernel ~lazy_ok layout (loc : Location.t) edges =
   let eager = Array.of_list eager in
   let has_eager = Array.length eager > 0 in
   let flow = Kernel.flow layout loc.Location.flow in
-  let constant = match flow with Kernel.Rates _ -> true | Kernel.Ode _ -> false in
+  let invariant = Kernel.guard layout loc.Location.invariant in
+  let sleepable, watch =
+    match flow with
+    | Kernel.Rates _ when sleep_ok && Kernel.is_true invariant && not has_eager ->
+        (true, no_watch)
+    | Kernel.Rates rates when sleep_ok ->
+        ( true,
+          Kernel.watch
+            (invariant :: Array.to_list (Array.map (fun ce -> ce.guard) eager))
+            rates )
+    | Kernel.Rates _ | Kernel.Ode _ -> (false, no_watch)
+  in
   {
     loc;
-    invariant = Kernel.guard layout loc.Location.invariant;
+    entered = Trace.Enter_location { automaton = owner; location = loc.Location.name };
+    invariant;
     flow;
     eager;
     spontaneous = Array.of_list spontaneous;
     triggered = triggered_arrays;
     has_eager;
-    is_lazy = lazy_ok && constant && loc.Location.invariant = [] && not has_eager;
+    sleepable;
+    watch;
   }
 
-(* The kernel of location [name], built on its first request. *)
-let find_kernel ~lazy_ok layout sources kernels name =
+(* The kernel of location [name] of automaton [owner], built on its
+   first request. *)
+let find_kernel ~owner ~sleep_ok layout sources kernels name =
   match Hashtbl.find_opt kernels name with
   | Some k -> k
   | None ->
       let loc, rev_edges = Hashtbl.find sources name (* validated *) in
-      let k = build_kernel ~lazy_ok layout loc (List.rev rev_edges) in
+      let k = build_kernel ~owner ~sleep_ok layout loc (List.rev rev_edges) in
       Hashtbl.replace kernels name k;
       k
 
 let kernel_of t st name =
-  find_kernel ~lazy_ok:t.lazy_ok st.layout st.sources st.kernels name
+  find_kernel ~owner:st.automaton.Automaton.name ~sleep_ok:t.sleep_ok st.layout st.sources
+    st.kernels name
 
 (* {2 Construction} *)
 
@@ -445,7 +564,7 @@ let resolve_var states index name var =
     Fmt.invalid_arg "executor: automaton %s declares no variable %S" name var;
   { member; slot }
 
-let build_state ~lazy_ok ~dt ix (a : Automaton.t) =
+let build_state ~sleep_ok ~dt ix (a : Automaton.t) =
   let sources = Hashtbl.create (2 * List.length a.Automaton.locations) in
   List.iter
     (fun (loc : Location.t) -> Hashtbl.replace sources loc.Location.name (loc, []))
@@ -458,7 +577,8 @@ let build_state ~lazy_ok ~dt ix (a : Automaton.t) =
   let layout = Kernel.layout a.Automaton.vars in
   let kernels = Hashtbl.create 8 in
   let kernel =
-    find_kernel ~lazy_ok layout sources kernels a.Automaton.initial_location
+    find_kernel ~owner:a.Automaton.name ~sleep_ok layout sources kernels
+      a.Automaton.initial_location
   in
   {
     automaton = a;
@@ -469,6 +589,7 @@ let build_state ~lazy_ok ~dt ix (a : Automaton.t) =
     kernel;
     values = Kernel.load layout (Automaton.initial_valuation a);
     synced = 0;
+    asleep = false;
     entered_at = 0.0;
     halted = false;
     rate = 1.0;
@@ -485,8 +606,8 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     (fun i (a : Automaton.t) -> Hashtbl.replace index a.Automaton.name i)
     automata;
   (* the legacy engine is the reference: it sweeps every automaton *)
-  let lazy_ok = queue = `Heap in
-  let states = Array.mapi (build_state ~lazy_ok ~dt:config.dt) automata in
+  let sleep_ok = queue = `Heap in
+  let states = Array.mapi (build_state ~sleep_ok ~dt:config.dt) automata in
   let listeners = Hashtbl.create (4 * n) in
   Array.iteri
     (fun i (a : Automaton.t) ->
@@ -503,15 +624,7 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     (fun root rev_ixs ->
       Hashtbl.replace listeners_arr root (Array.of_list (List.rev rev_ixs)))
     listeners;
-  Array.iter
-    (fun st ->
-      Trace.Recorder.record recorder ~time:0.0
-        (Trace.Enter_location
-           {
-             automaton = st.automaton.Automaton.name;
-             location = st.kernel.loc.Location.name;
-           }))
-    states;
+  Array.iter (fun st -> Trace.Recorder.record recorder ~time:0.0 st.kernel.entered) states;
   let queue =
     match queue with
     | `Heap ->
@@ -525,11 +638,13 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
           }
     | `Legacy_list -> Legacy_list { items = [] }
   in
+  (* all awake and active: the first stabilization chases each
+     automaton, and puts to sleep those that can sleep *)
   let awake = bits_create n and active = bits_create n in
   Array.iter
     (fun st ->
       bit_set active st.ix;
-      if not st.kernel.is_lazy then bit_set awake st.ix)
+      bit_set awake st.ix)
     states;
   let width =
     Array.fold_left (fun acc st -> max acc (Array.length st.values)) 0 states
@@ -542,12 +657,13 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
   {
     system;
     config;
-    now = 0.0;
+    clock = { now = 0.0 };
+    now_box = 0.0;
     states;
     index;
     listeners = listeners_arr;
     queue;
-    lazy_ok;
+    sleep_ok;
     tentative = Array.make width 0.0;
     probe = Array.make width 0.0;
     next_token = 0;
@@ -557,17 +673,29 @@ let create ?(config = default_config) ?(queue = `Heap) ?trace_sink system =
     samples;
     next_sample = 0.0;
     awake;
+    alarms = alarms_create n;
     active;
     sweeps = 0;
     cursor = 0;
     awake_visits = 0;
+    wakes = 0;
+    early_wakes = 0;
     replays = 0;
     bisections = 0;
     chases = 0;
   }
 
 let set_router t router = t.router <- router
-let time t = t.now
+
+(* The clock as a boxed float, for reads that escape into a call: one
+   box per instant read, however often it is read. *)
+let now t =
+  let c = t.clock.now in
+  if t.now_box <> c then t.now_box <- c;
+  t.now_box
+
+let clock t = t.clock
+let time t = now t
 let trace t = Trace.Recorder.entries t.recorder
 let events_processed t = t.events
 
@@ -575,6 +703,8 @@ let stats t =
   {
     sweeps = t.sweeps;
     awake_visits = t.awake_visits;
+    wakes = t.wakes;
+    early_wakes = t.early_wakes;
     replays = t.replays;
     bisections = t.bisections;
     chases = t.chases;
@@ -587,15 +717,29 @@ let stats t =
 let state_ix t name = resolve_ix t.index name
 let state t name = t.states.(state_ix t name)
 
-(* {2 Lazy constant-rate automata}
+(* {2 Sleeping constant-rate automata}
 
-   The sweep skips an automaton in a lazy location: there, a step only
-   adds [r *. (dt *. rate)] to each listed variable. Its valuation lags
-   [synced] sweeps behind and is brought up to date by {!sync} before
-   anything reads or writes it, replaying the skipped additions — the
-   same IEEE operations in the same order — in place. Every change of
-   location, rate or halted status syncs first, so the skipped sweeps
-   all ran under the current ones. *)
+   Between discrete changes, a step in a [Rates] location only adds
+   [r *. (dt *. rate)] to each listed variable, and nothing else happens
+   until an atom of its invariant or of an eager guard answers
+   differently. When a chase leaves an automaton at its fixpoint with
+   its invariant holding, {!doze} asks {!Kernel.next_flip} for the
+   first sweep at which such an atom flips, and drops the automaton
+   from the awake set until that sweep; a location with no such atom
+   (no invariant, no eager edge: a lazy location) never wakes it. Its
+   valuation lags [synced] sweeps behind and is brought up to date by
+   {!sync} before anything reads or writes it, replaying the skipped
+   additions — the same IEEE operations in the same order — in place.
+   A sleeping automaton wakes early on anything that changes what the
+   search assumed: a change of location, of rate or of valuation (a
+   write to a slot the watch reads, unless the slot does not move and
+   every atom on it answers as before). Each wake syncs first, so the
+   skipped sweeps all ran under the current location and rate. *)
+
+(* How many sweeps ahead a search looks. A flip beyond it (the N = 1024
+   chain's supervisor guard is ~300 k steps out) costs one visit per
+   [sleep_horizon] sweeps, and no search runs longer than this. *)
+let sleep_horizon = 1024
 
 (* The sweeps [st]'s valuation must include now. Mid-sweep, the current
    sweep counts only for automata the sweep has already passed, exactly
@@ -604,24 +748,81 @@ let state t name = t.states.(state_ix t name)
    still see what the eager sweep left behind. *)
 let sync_target t st = if st.ix < t.cursor then t.sweeps + 1 else t.sweeps
 
-(* Bring [st]'s valuation up to date. Halted automata accumulate
-   nothing. *)
+(* Bring [st]'s valuation up to date. Only a sleeping automaton lags;
+   halted automata accumulate nothing. *)
 let sync t st =
   let target = sync_target t st in
   let k = target - st.synced in
   if k > 0 then begin
     st.synced <- target;
     match st.kernel.flow with
-    | Kernel.Rates rates when st.kernel.is_lazy && not st.halted ->
+    | Kernel.Rates rates when not st.halted ->
         t.replays <- t.replays + 1;
         Kernel.replay rates st.values st.span k
     | Kernel.Rates _ | Kernel.Ode _ -> ()
   end
 
-(* Enter [kernel]. The caller has synced [st] or replaces its valuation. *)
+(* Put [st] back into the sweep. The caller has synced it or replaces
+   its valuation. *)
+let awaken t st =
+  st.asleep <- false;
+  alarm_remove t.alarms st.ix;
+  bit_set t.awake st.ix
+
+(* Put [st] back into the sweep and have it re-chased, which puts it
+   back to sleep if it can. *)
+let wake t st =
+  sync t st;
+  awaken t st;
+  bit_set t.active st.ix
+
+(* Wake a sleeping [st] before the sweep it was due at. *)
+let rouse t st =
+  if st.asleep then begin
+    t.early_wakes <- t.early_wakes + 1;
+    wake t st
+  end
+
+(* Enter [kernel]. The caller has synced [st] or replaces its
+   valuation, and marks it active: the entry's chase decides whether it
+   sleeps here. *)
 let set_location t st kernel =
   st.kernel <- kernel;
-  if kernel.is_lazy then bit_clear t.awake st.ix else bit_set t.awake st.ix
+  if st.asleep then begin
+    t.early_wakes <- t.early_wakes + 1;
+    awaken t st
+  end
+
+(* After a chase left [st] at its fixpoint: sleep until the first sweep
+   at which an atom of the invariant or of an eager guard answers
+   differently. Until then each sweep only adds to the valuation: the
+   invariant holds after it as it does now, and no eager guard becomes
+   true. An invariant that already fails (broken by a write) would
+   force a transition at the next sweep, so [st] stays awake. *)
+let doze t st =
+  let k = st.kernel in
+  if k.sleepable && Kernel.holds k.invariant st.values then begin
+    let flip = Kernel.next_flip k.watch st.values st.span sleep_horizon in
+    if flip > 1 then begin
+      st.asleep <- true;
+      bit_clear t.awake st.ix;
+      if flip < max_int then alarm_add t.alarms st.ix (t.sweeps + flip)
+    end
+  end
+
+(* Before sweep [t.sweeps + 1]: wake the automata whose flip, or whose
+   search horizon, it is. A halted automaton has nothing to do in a
+   sweep and sleeps on until {!restart}. *)
+let wake_due t =
+  let a = t.alarms and due = t.sweeps + 1 in
+  while a.len > 0 && a.due.(a.heap.(0)) <= due do
+    let st = t.states.(a.heap.(0)) in
+    if st.halted then alarm_remove a st.ix
+    else begin
+      t.wakes <- t.wakes + 1;
+      wake t st
+    end
+  done
 
 let synced_state t name =
   let st = state t name in
@@ -641,6 +842,19 @@ let automaton_ref = state_ix
 (* Reads no valuation, so it does not sync. *)
 let location t r = t.states.(r).kernel.loc.Location.name
 
+(* The location record itself: kernels keep the records of the
+   automaton's location list, so a location compares physically. *)
+type location_ref = { owner : int; loc : Location.t }
+
+let location_ref t r name =
+  match Hashtbl.find_opt t.states.(r).sources name with
+  | Some (loc, _) -> { owner = r; loc }
+  | None ->
+      Fmt.invalid_arg "executor: automaton %s has no location %S"
+        t.states.(r).automaton.Automaton.name name
+
+let is_at t r = t.states.(r.owner).kernel.loc == r.loc
+
 let var_ref t name var = resolve_var t.states t.index name var
 
 let get t r =
@@ -657,21 +871,31 @@ let get t r =
 let set t r value =
   let st = t.states.(r.member) in
   sync t st;
-  st.values.(r.slot) <- value;
-  bit_set t.active st.ix
+  let k = st.kernel in
+  if st.asleep then begin
+    (* a write its sleep did not assume wakes it *)
+    let wake = Kernel.disturbs k.watch st.values r.slot value in
+    st.values.(r.slot) <- value;
+    if wake then rouse t st
+  end
+  else begin
+    st.values.(r.slot) <- value;
+    (* only an eager edge can fire on a write *)
+    if k.has_eager then bit_set t.active st.ix
+  end
 
 let location_of t name = location t (automaton_ref t name)
 let value_of t name var = get t (var_ref t name var)
 let set_value t name var value = set t (var_ref t name var) value
 
 (* Reads no valuation, so it does not sync. *)
-let dwell_time t name = t.now -. (state t name).entered_at
+let dwell_time t name = t.clock.now -. (state t name).entered_at
 
 let valuation_of t name =
   let st = synced_state t name in
   Kernel.store st.layout st.values
 
-let record t event = Trace.Recorder.record t.recorder ~time:t.now event
+let record t event = Trace.Recorder.record t.recorder ~time:(now t) event
 let note t text = record t (Trace.Note text)
 
 (** Crash an automaton: its flows freeze, its edges stop firing and
@@ -696,12 +920,10 @@ let restart t name =
   let initial = Kernel.load st.layout (Automaton.initial_valuation st.automaton) in
   Array.blit initial 0 st.values 0 (Array.length initial);
   st.synced <- sync_target t st;
-  st.entered_at <- t.now;
+  st.entered_at <- now t;
   bit_set t.active st.ix;
   note t (Printf.sprintf "fault: %s restarted" name);
-  record t
-    (Trace.Enter_location
-       { automaton = name; location = st.kernel.loc.Location.name })
+  record t st.kernel.entered
 
 let is_halted t name = (state t name).halted
 
@@ -713,7 +935,9 @@ let set_rate t name rate =
     Fmt.invalid_arg "executor: clock rate must be positive, got %g" rate;
   let st = synced_state t name in
   st.rate <- rate;
-  st.span <- t.config.dt *. rate
+  st.span <- t.config.dt *. rate;
+  (* its sleep ends at a sweep computed for the old span *)
+  rouse t st
 
 let rate t name = (state t name).rate
 
@@ -744,15 +968,15 @@ let enqueue t ~due ~receiver ~root =
 let schedule t ?(owner = "<timer>") ~at f =
   if not (Float.is_finite at) then
     Fmt.invalid_arg "executor: timer due time must be finite, got %g" at;
-  push t ~due:(Float.max at t.now) ~owner (Timer f)
+  push t ~due:(Float.max at t.clock.now) ~owner (Timer f)
 
 (** Revoke a scheduled timer or arrival before it fires. Unknown or
     already-fired tokens are ignored (cancellation is idempotent). *)
 let cancel t token = queue_cancel t.queue token
 
-let broadcast t ~sender ~root =
+let broadcast t ~sent ~sender ~root =
   let sender_name = t.states.(sender).automaton.Automaton.name in
-  record t (Trace.Message_sent { sender = sender_name; root });
+  record t sent;
   match Hashtbl.find_opt t.listeners root with
   | None -> ()
   | Some ixs ->
@@ -760,42 +984,52 @@ let broadcast t ~sender ~root =
         (fun ix ->
           if ix <> sender then begin
             let receiver = t.states.(ix).automaton.Automaton.name in
-            match t.router ~time:t.now ~sender:sender_name ~root ~receiver with
+            match t.router ~time:(now t) ~sender:sender_name ~root ~receiver with
             | Lose | Deliver_many [] ->
                 record t (Trace.Message_lost { receiver; root })
-            | Deliver delay -> enqueue t ~due:(t.now +. delay) ~receiver:ix ~root
+            | Deliver delay -> enqueue t ~due:(t.clock.now +. delay) ~receiver:ix ~root
             | Deliver_many delays ->
                 List.iter
                   (fun delay ->
-                    enqueue t ~due:(t.now +. delay) ~receiver:ix ~root)
+                    enqueue t ~due:(t.clock.now +. delay) ~receiver:ix ~root)
                   delays
             | Deferred -> ()
           end)
         ixs
 
+(* [ce]'s trace events, built at its first firing. *)
+let firing st ce =
+  match ce.firing with
+  | Some f -> f
+  | None ->
+      let e = ce.edge and owner = st.automaton.Automaton.name in
+      let taken forced =
+        Trace.Transition { automaton = owner; src = e.src; dst = e.dst; label = e.label; forced }
+      in
+      let sends =
+        match e.label with
+        | Some (Label.Send root) -> Some (root, Trace.Message_sent { sender = owner; root })
+        | Some (Label.Internal _ | Label.Recv _ | Label.Recv_lossy _) | None -> None
+      in
+      let f = { taken = taken false; taken_forced = taken true; sends } in
+      ce.firing <- Some f;
+      f
+
 (* Fire [ce] from [st]'s current location. Emits trace entries and
    broadcasts any sent event. The caller maintains the chain budget. *)
 let fire t st ce ~forced =
-  let edge = ce.edge in
-  let name = st.automaton.Automaton.name in
+  let f = firing st ce in
   sync t st;
-  record t
-    (Trace.Transition
-       { automaton = name; src = edge.src; dst = edge.dst; label = edge.label;
-         forced });
+  record t (if forced then f.taken_forced else f.taken);
   Kernel.apply ce.reset st.values;
-  set_location t st (kernel_of t st edge.dst);
-  st.entered_at <- t.now;
+  set_location t st (kernel_of t st ce.edge.dst);
+  st.entered_at <- now t;
   bit_set t.active st.ix;
   t.events <- t.events + 1;
-  record t
-    (Trace.Enter_location
-       { automaton = name; location = st.kernel.loc.Location.name });
-  match edge.label with
-  | Some (Label.Send root) -> broadcast t ~sender:st.ix ~root
-  | Some (Label.Internal _) | Some (Label.Recv _) | Some (Label.Recv_lossy _)
-  | None ->
-      ()
+  record t st.kernel.entered;
+  match f.sends with
+  | Some (root, sent) -> broadcast t ~sent ~sender:st.ix ~root
+  | None -> ()
 
 (* The index of the first edge of [edges] whose guard holds, or -1. *)
 let rec first_enabled edges values i =
@@ -849,13 +1083,14 @@ let deliver_now t ~receiver ~root = deliver t ~receiver:(state_ix t receiver) ~r
 let lose_now t ~receiver ~root =
   record t (Trace.Message_lost { receiver; root })
 
-let zeno t name = raise (Zeno { automaton = name; time = t.now })
+let zeno t name = raise (Zeno { automaton = name; time = t.clock.now })
 
 (* Fire [st]'s enabled eager edges until none is left. [fires] counts
    the discrete changes of this instant against [budget]; returns it
    with this chase's firings added. Neither the eager scan nor the sweep
-   syncs: the sweep advances non-lazy automata eagerly, and a lazy
-   location has no eager edge, so no guard is read there. *)
+   syncs: both see only awake automata, whose valuations the sweep keeps
+   up to date (a sleeping one is synced as it wakes and is never
+   active). *)
 let chase t st ~fires ~budget =
   t.chases <- t.chases + 1;
   let fires = ref fires and k = ref 0 and enabled = ref true in
@@ -894,7 +1129,7 @@ let stabilize t =
   while !progress do
     progress := false;
     (* due deliveries and timers, in order *)
-    let deadline = t.now +. 1e-12 in
+    let deadline = t.clock.now +. 1e-12 in
     let draining = ref true in
     while !draining do
       let p = queue_peek t.queue in
@@ -937,8 +1172,9 @@ let stabilize t =
                 if !fires > before then progress := true;
                 (* fixpoint reached: nothing eager is enabled here until
                    a later delivery, mutation or continuous step re-marks
-                   it *)
-                bit_clear t.active !i
+                   it, and the automaton may sleep until then *)
+                bit_clear t.active !i;
+                doze t st
               end;
               rest := (t.active.(w) lsr (!i - base)) lsr 1
             end
@@ -987,8 +1223,8 @@ and cross_boundary t st ~start ~span ~depth =
   Kernel.interpolate ~from ~target !alpha probe;
   Array.blit probe 0 st.values 0 (Array.length st.values);
   let boundary_time = start +. (!alpha *. span) in
-  let saved_now = t.now in
-  t.now <- boundary_time;
+  let saved_now = t.clock.now in
+  t.clock.now <- boundary_time;
   let i = first_enabled st.kernel.spontaneous st.values 0 in
   if i < 0 then
     raise
@@ -999,7 +1235,7 @@ and cross_boundary t st ~start ~span ~depth =
            time = boundary_time;
          });
   fire t st st.kernel.spontaneous.(i) ~forced:true;
-  t.now <- saved_now;
+  t.clock.now <- saved_now;
   advance_automaton t st ~start:boundary_time
     ~span:(span -. (!alpha *. span))
     ~depth:(depth + 1)
@@ -1013,8 +1249,11 @@ let sample t =
 (** Advance the whole system by one step of [config.dt]. *)
 let step t =
   stabilize t;
-  let start = t.now in
-  (* lazy automata are skipped: {!sync} replays this sweep for them *)
+  wake_due t;
+  let start = t.clock.now in
+  (* sleeping automata are skipped: {!sync} replays this sweep for them.
+     A visit passes the clock boxed, so only a step that visits one
+     allocates its box. *)
   for w = 0 to Array.length t.awake - 1 do
     let base = w * word_bits in
     let rest = ref t.awake.(w) and i = ref base in
@@ -1024,10 +1263,11 @@ let step t =
         t.cursor <- !i;
         if not st.halted then begin
           t.awake_visits <- t.awake_visits + 1;
-          advance_automaton t st ~start ~span:st.span ~depth:0;
+          advance_automaton t st ~start:(now t) ~span:st.span ~depth:0;
           (* time passed: only a location with eager spontaneous edges
-             can have gained an enabled transition from it *)
-          if st.kernel.has_eager then bit_set t.active !i
+             can have gained an enabled transition from it, and only a
+             chase puts an automaton to sleep *)
+          if st.kernel.has_eager || st.kernel.sleepable then bit_set t.active !i
         end;
         st.synced <- t.sweeps + 1;
         rest := (t.awake.(w) lsr (!i - base)) lsr 1
@@ -1038,23 +1278,23 @@ let step t =
   done;
   t.cursor <- 0;
   t.sweeps <- t.sweeps + 1;
-  t.now <- start +. t.config.dt;
+  t.clock.now <- start +. t.config.dt;
   stabilize t;
   match t.samples with
   | [] -> ()
   | _ :: _ ->
-      if t.now >= t.next_sample -. 1e-12 then begin
+      if t.clock.now >= t.next_sample -. 1e-12 then begin
         sample t;
         (* catch up past [now]: with dt > sample_period the old one-period
            bump fell permanently behind, emitting a stale burst *)
         t.next_sample <- t.next_sample +. t.config.sample_period;
-        while t.now >= t.next_sample -. 1e-12 do
+        while t.clock.now >= t.next_sample -. 1e-12 do
           t.next_sample <- t.next_sample +. t.config.sample_period
         done
       end
 
 let run t ~until =
-  while t.now < until -. 1e-12 do
+  while t.clock.now < until -. 1e-12 do
     step t
   done
 

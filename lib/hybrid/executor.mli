@@ -14,10 +14,18 @@
     the live entries, flat int-indexed automaton states, an
     activity-set stabilization that re-chases only automata that
     changed since the last fixpoint, and a continuous sweep that skips
-    automata sitting in constant-rate locations with no invariant and
-    no eager edge. A skipped automaton's valuation is brought up to
-    date, by replaying the same float additions in the same order,
-    before any read or write of it. Each automaton's valuation is a
+    {e sleeping} automata. An automaton in a constant-rate location
+    sleeps from the chase that leaves it at its fixpoint until the
+    first sweep at which an atom of its invariant or of an eager guard
+    answers differently; that sweep is found ahead of time by replaying
+    the Euler additions with {!Kernel.next_flip}, up to a fixed horizon
+    where the automaton is looked at again. A location with no such
+    atom (no invariant, no eager edge) never wakes it. It wakes early
+    on a change of location, of rate ({!set_rate}), on {!restart}, or
+    on a write that can move its flip. A skipped automaton's valuation
+    is brought up to date, by replaying the same float additions in the
+    same order, before any read or write of it. Each automaton's
+    valuation is a
     [float array] over its declared variables, and each location is
     compiled into a {!Kernel} of slot arrays (guards, invariant,
     resets, and the flow: a [Rates] table, or an [Ode]'s read and
@@ -25,8 +33,11 @@
     first time the automaton enters it; kernels belong to the executor,
     never to the shared {!Automaton.t}. Callers that act every step
     hold resolved refs ({!automaton_ref}, {!var_ref}) instead of names.
-    A sweep, with ODEs whose functions allocate nothing, and a
-    stabilization round that fires nothing allocate nothing. All of it is
+    The clock is an unboxed float ({!clock}) that is boxed at most once
+    per instant, when a read escapes into a call. A sweep, with ODEs
+    whose functions allocate nothing, and a stabilization round that
+    fires nothing allocate nothing but that box, and a sweep that
+    visits nothing not even that. All of it is
     bit-identical to the list-based {!Guard}, {!Reset} and {!Valuation}
     semantics and to the reference engine selected by
     [~queue:`Legacy_list]. *)
@@ -75,8 +86,8 @@ type t
 type queue_kind = [ `Heap | `Legacy_list ]
 (** Engine selection. [`Heap] (the default) is the production engine:
     the O(log n)-push min-heap with O(1)-amortised cancel and tombstone
-    compaction, activity-set stabilization and lazy constant-rate
-    clocks. [`Legacy_list] is the reference: an O(n) sorted
+    compaction, activity-set stabilization and sleeping constant-rate
+    automata. [`Legacy_list] is the reference: an O(n) sorted
     singly-linked list, full-scan stabilization and a full continuous
     sweep of every automaton every step. It is the measured baseline of
     the S1 throughput benchmark and the oracle of the differential
@@ -89,7 +100,19 @@ val create : ?config:config -> ?queue:queue_kind ->
     as they happen. *)
 
 val set_router : t -> router -> unit
+
 val time : t -> float
+(** The current instant. The float is boxed once per instant, however
+    often it is read. *)
+
+type clock = private { mutable now : float }
+(** The executor's clock. A float-only record stores its field
+    unboxed, so a step moves it without allocating, and a caller that
+    polls it every step, such as an engine process, reads [now]
+    without the box {!time} returns. *)
+
+val clock : t -> clock
+
 val trace : t -> Trace.t
 
 val events_processed : t -> int
@@ -101,8 +124,15 @@ type stats = {
   sweeps : int;  (** continuous sweeps, one per {!step} *)
   awake_visits : int;
       (** automata advanced by a sweep, summed over sweeps (halted and
-          lazy ones are not) *)
-  replays : int;  (** lazy catch-ups that replayed skipped sweeps *)
+          sleeping ones are not) *)
+  wakes : int;
+      (** sleeping automata woken for the sweep of their next flip, or
+          at the end of a search that found none within its horizon *)
+  early_wakes : int;
+      (** sleeping automata woken before that sweep, by a change of
+          location (a delivery, {!restart}), a write that can move a
+          flip, or {!set_rate} *)
+  replays : int;  (** catch-ups that replayed skipped sweeps *)
   bisections : int;  (** invariant-boundary searches *)
   chases : int;  (** eager-edge chases run by stabilization *)
   kernels : int;  (** location kernels built: locations entered so far *)
@@ -169,6 +199,16 @@ val automaton_ref : t -> string -> automaton_ref
 
 val location : t -> automaton_ref -> string
 (** The automaton's current location. *)
+
+type location_ref
+
+val location_ref : t -> automaton_ref -> string -> location_ref
+(** Raises [Invalid_argument] when the automaton has no location of
+    that name. *)
+
+val is_at : t -> location_ref -> bool
+(** Whether the automaton dwells in that location now: a physical
+    compare, no name. *)
 
 type var_ref
 

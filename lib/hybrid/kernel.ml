@@ -54,16 +54,18 @@ let guard l (g : Guard.t) =
 
 let is_true g = Array.length g.slots = 0
 
-(* {!Guard.atom_holds}, written out so that no float crosses a call. *)
+(* {!Guard.atom_holds}; inlined, so that no float crosses a call. *)
+let[@inline] answer cmp bound x =
+  match cmp with
+  | Guard.Lt -> x < bound +. Guard.eps
+  | Guard.Le -> x <= bound +. Guard.eps
+  | Guard.Gt -> x > bound -. Guard.eps
+  | Guard.Ge -> x >= bound -. Guard.eps
+  | Guard.Eq -> Float.abs (x -. bound) <= Guard.eps
+
 let rec holds_from g values i =
   i >= Array.length g.slots
-  || (let x = values.(g.slots.(i)) and bound = g.bounds.(i) in
-      match g.cmps.(i) with
-      | Guard.Lt -> x < bound +. Guard.eps
-      | Guard.Le -> x <= bound +. Guard.eps
-      | Guard.Gt -> x > bound -. Guard.eps
-      | Guard.Ge -> x >= bound -. Guard.eps
-      | Guard.Eq -> Float.abs (x -. bound) <= Guard.eps)
+  || answer g.cmps.(i) g.bounds.(i) values.(g.slots.(i))
      && holds_from g values (i + 1)
 
 let holds g values = holds_from g values 0
@@ -123,6 +125,95 @@ let replay r values span k =
     for _ = 1 to k do
       step r values span
     done
+
+(* Watched slot [i] owns atoms [atom_from.(i), atom_from.(i + 1)) and
+   slopes [slope_from.(i), slope_from.(i + 1)), each in list order. *)
+type watch = {
+  watched : int array;  (* the distinct slots the atoms read, ascending *)
+  atom_from : int array;
+  atom_cmps : Guard.cmp array;
+  atom_bounds : float array;
+  start : bool array;  (* scratch: each atom's answer where a search starts *)
+  slope_from : int array;
+  slopes : float array;
+}
+
+let watch guards r =
+  let atoms =
+    List.concat_map
+      (fun g -> List.init (Array.length g.slots) (fun i -> (g.slots.(i), g.cmps.(i), g.bounds.(i))))
+      guards
+  in
+  let watched = List.sort_uniq Int.compare (List.map (fun (s, _, _) -> s) atoms) in
+  let watched = Array.of_list watched in
+  let group items slot_of =
+    let per = Array.map (fun s -> List.filter (fun x -> slot_of x = s) items) watched in
+    let from = Array.make (Array.length watched + 1) 0 in
+    Array.iteri (fun i xs -> from.(i + 1) <- from.(i) + List.length xs) per;
+    (from, List.concat (Array.to_list per))
+  in
+  let atom_from, atoms = group atoms (fun (s, _, _) -> s) in
+  let slope_from, slopes =
+    group (List.init (Array.length r.vars) (fun j -> (r.vars.(j), r.slopes.(j)))) fst
+  in
+  {
+    watched;
+    atom_from;
+    atom_cmps = Array.of_list (List.map (fun (_, c, _) -> c) atoms);
+    atom_bounds = Array.of_list (List.map (fun (_, _, b) -> b) atoms);
+    start = Array.make (List.length atoms) false;
+    slope_from;
+    slopes = Array.of_list (List.map snd slopes);
+  }
+
+(* Each watched slot is replayed on its own: a [Rates] step adds to a
+   slot only that slot's own slopes, in list order, so its values are
+   the ones {!replay} produces. A slot that no slope moves keeps its
+   answers. *)
+let next_flip w values span horizon =
+  let first = ref max_int in
+  if not (span <= 0.0) then
+    for i = 0 to Array.length w.watched - 1 do
+      let s_lo = w.slope_from.(i) and s_hi = w.slope_from.(i + 1) in
+      if s_hi > s_lo then begin
+        let x0 = values.(w.watched.(i)) in
+        let a_lo = w.atom_from.(i) and a_hi = w.atom_from.(i + 1) in
+        for a = a_lo to a_hi - 1 do
+          w.start.(a) <- answer w.atom_cmps.(a) w.atom_bounds.(a) x0
+        done;
+        (* only a flip before the earliest one found so far matters *)
+        let limit = Int.min (!first - 1) horizon in
+        let x = ref x0 and k = ref 0 and flipped = ref false in
+        while (not !flipped) && !k < limit do
+          incr k;
+          for j = s_lo to s_hi - 1 do
+            x := !x +. (w.slopes.(j) *. span)
+          done;
+          for a = a_lo to a_hi - 1 do
+            if answer w.atom_cmps.(a) w.atom_bounds.(a) !x <> w.start.(a) then
+              flipped := true
+          done
+        done;
+        if !flipped then first := !k
+        else if !first = max_int then first := horizon + 1
+      end
+    done;
+  !first
+
+let rec index_from (a : int array) x i =
+  if i >= Array.length a || a.(i) = x then i else index_from a x (i + 1)
+
+let disturbs w values slot after =
+  let i = index_from w.watched slot 0 in
+  i < Array.length w.watched
+  && (w.slope_from.(i + 1) > w.slope_from.(i)
+     ||
+     let before = values.(slot) and differs = ref false in
+     for a = w.atom_from.(i) to w.atom_from.(i + 1) - 1 do
+       let cmp = w.atom_cmps.(a) and bound = w.atom_bounds.(a) in
+       if answer cmp bound before <> answer cmp bound after then differs := true
+     done;
+     !differs)
 
 (* The scratch arrays live here, in a kernel one executor owns, and
    never in the [Flow.ode] closure: campaign domains share a system's

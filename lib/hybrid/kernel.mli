@@ -61,6 +61,28 @@ val replay : rates -> float array -> float -> int -> unit
 (** [replay r values span k] is [k] steps; nothing for a non-positive
     [span]. *)
 
+type watch
+(** The atoms of some guards, grouped by the slot each reads, with the
+    slopes a {!rates} table adds to those slots. It holds a scratch
+    array, so it belongs to one executor. *)
+
+val watch : guard list -> rates -> watch
+
+val next_flip : watch -> float array -> float -> int -> int
+(** [next_flip w values span horizon] is the least [k] in [1, horizon]
+    such that some atom answers differently on the valuation [replay]
+    makes of [values] in [k] steps than on [values]. It replays each
+    watched slot with the additions of {!step} and judges each atom
+    with the comparison of {!holds}. It is [horizon + 1] when no atom
+    flips within [horizon] steps, and [max_int] when none ever can: no
+    slope moves a watched slot. *)
+
+val disturbs : watch -> float array -> int -> float -> bool
+(** [disturbs w values slot x]: whether writing [x] into [slot] can
+    change the answer of {!next_flip} on [values]: the slot is watched
+    and a slope moves it, or some atom answers differently on [x] than
+    on the value there now. *)
+
 type ode
 (** The slots a {!Flow.ode} reads and drives, and the scratch arrays its
     function reads and fills. *)

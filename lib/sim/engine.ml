@@ -8,20 +8,23 @@
     to the supervisor, the patient's coupling to the ventilator.
 
     The step loop runs the processes from an array, with their due
-    times in an unboxed [float array], so polling them allocates
-    nothing; a process that reads or writes an automaton every step
-    holds {!Pte_hybrid.Executor} refs resolved when it registers. *)
+    times in an unboxed [float array], and reads the executor's unboxed
+    clock, so polling them allocates nothing; a process that reads or
+    writes an automaton every step holds {!Pte_hybrid.Executor} refs
+    resolved when it registers, and reads the instant from {!clock}
+    if it needs it. *)
 
 open Pte_hybrid
 
 type process = {
   name : string;
   gap : float;  (* the period, at least 1 ns *)
-  action : t -> time:float -> unit;
+  action : t -> unit;
 }
 
 and t = {
   exec : Executor.t;
+  clock : Executor.clock;
   net : Pte_net.Star.t option;
   transport : Pte_net.Transport.t option;
   rng : Pte_util.Rng.t;
@@ -53,9 +56,10 @@ let create ?(config = Executor.default_config) ?net
         Executor.set_router exec (Pte_net.Transport.router t);
         Some t
   in
-  { exec; net; transport; rng; processes = [||]; due = [||] }
+  { exec; clock = Executor.clock exec; net; transport; rng; processes = [||]; due = [||] }
 
 let executor t = t.exec
+let clock t = t.clock
 let network t = t.net
 let transport t = t.transport
 let time t = Executor.time t.exec
@@ -87,18 +91,18 @@ let set_rate t name rate = Executor.set_rate t.exec name rate
 
 (* A process registered by an action first runs at the next poll. *)
 let run_processes t =
-  let now = time t in
+  let now = t.clock.Executor.now in
   for i = 0 to Array.length t.processes - 1 do
     if now >= t.due.(i) -. 1e-12 then begin
       let p = t.processes.(i) in
-      p.action t ~time:now;
+      p.action t;
       t.due.(i) <- now +. p.gap
     end
   done
 
 (** Run to [until], interleaving processes with executor steps. *)
 let run t ~until =
-  while time t < until -. 1e-12 do
+  while t.clock.Executor.now < until -. 1e-12 do
     run_processes t;
     Executor.step t.exec
   done;

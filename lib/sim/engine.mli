@@ -26,6 +26,11 @@ val create :
     as wired. *)
 
 val executor : t -> Pte_hybrid.Executor.t
+
+val clock : t -> Pte_hybrid.Executor.clock
+(** The executor's clock ({!Pte_hybrid.Executor.clock}): [(clock t).now]
+    is the current instant, read without allocating. *)
+
 val network : t -> Pte_net.Star.t option
 
 (** The transport instance wrapping [?net] ([None] without a network) —
@@ -38,11 +43,11 @@ val fork_rng : t -> Pte_util.Rng.t
 (** An independent random stream for one model component (deterministic
     in the engine seed). *)
 
-val add_process :
-  t -> ?period:float -> name:string -> (t -> time:float -> unit) -> unit
+val add_process : t -> ?period:float -> name:string -> (t -> unit) -> unit
 (** Register a periodic environment process; [period] defaults to every
     executor step. Processes run in registration order; one registered
-    by a running process first runs at the next poll. *)
+    by a running process first runs at the next poll. A process that
+    needs the instant reads [(clock t).now], which allocates nothing. *)
 
 val inject : t -> receiver:string -> root:string -> unit
 (** Deliver an environment stimulus now (lossless, local). *)

@@ -6,10 +6,12 @@
     the ApprovalCondition fails. These combinators reproduce that setup
     and generalize it for the other examples.
 
-    Each combinator resolves the automata and variables it names into
-    {!Pte_hybrid.Executor} refs when it registers its process, so an
-    unknown name fails at registration, and the process, which runs
-    every step or every period, looks up no name. *)
+    Each combinator resolves the automata, locations and variables it
+    names into {!Pte_hybrid.Executor} refs when it registers its
+    process, so an unknown name fails at registration, and the process,
+    which runs every step or every period, compares no name; it reads
+    the engine's unboxed clock, so it allocates nothing while it only
+    watches. *)
 
 open Pte_hybrid
 
@@ -25,12 +27,13 @@ open Pte_hybrid
 let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
     ~armed_in ~root () =
   let exec = Engine.executor engine in
-  let target = Executor.automaton_ref exec automaton in
+  let armed = Executor.(location_ref exec (automaton_ref exec automaton) armed_in) in
+  let clock = Engine.clock engine in
   let rng = Engine.fork_rng engine in
   let deadline = ref None in
   let first = ref immediately in
-  Engine.add_process engine ~name:(root ^ "-timer") (fun engine ~time ->
-      if String.equal (Executor.location exec target) armed_in then
+  Engine.add_process engine ~name:(root ^ "-timer") (fun engine ->
+      if Executor.is_at exec armed then
         match !deadline with
         | None ->
             let delay =
@@ -38,8 +41,8 @@ let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
               else Pte_util.Rng.exponential rng ~mean
             in
             first := false;
-            deadline := Some (time +. delay)
-        | Some due when time >= due ->
+            deadline := Some (clock.now +. delay)
+        | Some due when clock.now >= due ->
             deadline := None;
             Engine.inject engine ~receiver:automaton ~root
         | Some _ -> ()
@@ -49,11 +52,12 @@ let exponential_stimulus engine ~mean ?(immediately = false) ~automaton
     [armed_in] at or after [at]. *)
 let one_shot engine ~at ~automaton ~armed_in ~root =
   let exec = Engine.executor engine in
-  let target = Executor.automaton_ref exec automaton in
+  let armed = Executor.(location_ref exec (automaton_ref exec automaton) armed_in) in
+  let clock = Engine.clock engine in
   let done_ = ref false in
-  Engine.add_process engine ~name:(root ^ "-oneshot") (fun engine ~time ->
-      if (not !done_) && time >= at then
-        if String.equal (Executor.location exec target) armed_in then begin
+  Engine.add_process engine ~name:(root ^ "-oneshot") (fun engine ->
+      if (not !done_) && clock.now >= at then
+        if Executor.is_at exec armed then begin
           done_ := true;
           Engine.inject engine ~receiver:automaton ~root
         end)
@@ -69,7 +73,7 @@ let wired_sensor engine ~period ~from:(src_automaton, src_var)
   let dst = Executor.var_ref exec dst_automaton dst_var in
   let rng = Engine.fork_rng engine in
   Engine.add_process engine ~period ~name:(src_var ^ "-sensor")
-    (fun _engine ~time:_ ->
+    (fun _engine ->
       Executor.set exec dst (transform rng (Executor.get exec src)))
 
 (** Every step, write [f engine] into [automaton.var] — for physical
@@ -78,5 +82,5 @@ let wired_sensor engine ~period ~from:(src_automaton, src_var)
 let coupling engine ~automaton ~var f =
   let exec = Engine.executor engine in
   let target = Executor.var_ref exec automaton var in
-  Engine.add_process engine ~name:(var ^ "-coupling") (fun engine ~time:_ ->
+  Engine.add_process engine ~name:(var ^ "-coupling") (fun engine ->
       Executor.set exec target (f engine))

@@ -4,8 +4,10 @@
 
     Each combinator resolves the names it is given into
     {!Pte_hybrid.Executor} refs when it registers, so it raises
-    [Invalid_argument] then on an unknown automaton or an undeclared
-    variable, and its process looks up no name as it runs. *)
+    [Invalid_argument] then on an unknown automaton, an [armed_in]
+    location the automaton lacks or an undeclared variable, and its
+    process compares no name and, reading {!Engine.clock}, boxes no
+    float as it runs. *)
 
 val exponential_stimulus :
   Engine.t ->

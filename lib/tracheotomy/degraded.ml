@@ -165,6 +165,7 @@ let install engine ~supervisor config =
         Pte_hybrid.Executor.var_ref exec supervisor Pte_core.Pattern.approval_var
       in
       let force_deny () = Pte_hybrid.Executor.set exec approval 0.0 in
+      let clock = Pte_sim.Engine.clock engine in
       let arm_exit ~at =
         ignore
           (Pte_hybrid.Executor.schedule exec ~owner:supervisor ~at (fun _exec ->
@@ -175,12 +176,13 @@ let install engine ~supervisor config =
                Pte_sim.Engine.note engine "degraded-safe-mode: exit"))
       in
       Pte_sim.Engine.add_process engine ~name:"degraded-safe-mode"
-        (fun engine ~time ->
+        (fun engine ->
           if h.active then force_deny ()
           else if
             Pte_net.Transport.consecutive_losses transport ~sender:supervisor
             >= config.k
           then begin
+            let time = clock.now in
             h.active <- true;
             h.entries <- h.entries + 1;
             h.entered_at <- time :: h.entered_at;

@@ -232,7 +232,7 @@ let build (config : config) =
   let exec = Pte_sim.Engine.executor engine in
   let spo2 = Executor.var_ref exec Patient.name Patient.spo2_var in
   Pte_sim.Engine.add_process engine ~period:0.5 ~name:"spo2-probe"
-    (fun _engine ~time:_ ->
+    (fun _engine ->
       Pte_util.Stats.Online.add spo2_stats (Executor.get exec spo2));
   let spec =
     Pte_core.Rules.of_params_with_bounds params ~dwell_bound:config.dwell_bound

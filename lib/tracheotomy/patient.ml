@@ -46,12 +46,15 @@ let automaton =
     ()
 
 (** Register the lung coupling: every simulation instant, [vent_ok]
-    reflects whether the ventilator automaton dwells in a ventilating
-    location. *)
+    reflects whether the ventilator automaton dwells in one of
+    {!Ventilator.ventilating_locations}, resolved when the coupling
+    registers. *)
 let couple_to_ventilator engine ~ventilator =
   let exec = Pte_sim.Engine.executor engine in
   let vent = Executor.automaton_ref exec ventilator in
+  let ventilating =
+    List.map (Executor.location_ref exec vent) Ventilator.ventilating_locations
+  in
+  let is_at = Executor.is_at exec in
   Pte_sim.Scenario.coupling engine ~automaton:name ~var:vent_ok_var
-    (fun _engine ->
-      if Ventilator.is_ventilating (Executor.location exec vent) then 1.0
-      else 0.0)
+    (fun _engine -> if List.exists is_at ventilating then 1.0 else 0.0)

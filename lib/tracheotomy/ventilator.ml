@@ -49,10 +49,10 @@ let participant ?(lease = true) (params : Pte_core.Params.t) =
   let pattern = Pte_core.Pattern.participant ~lease params ~index:1 in
   Elaboration.atomic_exn pattern "Fall-Back" stand_alone
 
-(** Whether the ventilator is actually ventilating the patient in
-    [location]: the pump child automaton is live in [pump_out] and
+(** The locations where the ventilator is actually ventilating the
+    patient: the pump child automaton is live in [pump_out] and
     [pump_in]. Everywhere else the pump is frozen — the physical
-    "pause". Called every step, so it compares with [String.equal],
-    not the polymorphic compare of [List.mem]. *)
-let is_ventilating location =
-  String.equal location pump_out || String.equal location pump_in
+    "pause". *)
+let ventilating_locations = [ pump_out; pump_in ]
+
+let is_ventilating location = List.exists (String.equal location) ventilating_locations

@@ -21,6 +21,10 @@ val participant : ?lease:bool -> Pte_core.Params.t -> Pte_hybrid.Automaton.t
     elaborated at "Fall-Back" with A′vent. It pumps in Fall-Back and
     freezes (pauses ventilation) anywhere else. *)
 
-val is_ventilating : string -> bool
+val ventilating_locations : string list
 (** [PumpOut] and [PumpIn]: the pump is live there and frozen anywhere
-    else. *)
+    else. A caller that asks every step resolves them once
+    ({!Pte_hybrid.Executor.location_ref}). *)
+
+val is_ventilating : string -> bool
+(** Whether a location is one of {!ventilating_locations}. *)

@@ -25,7 +25,7 @@ let test_process_period () =
   let engine = mk_engine () in
   let fired = ref 0 in
   Pte_sim.Engine.add_process engine ~period:0.5 ~name:"probe"
-    (fun _ ~time:_ -> incr fired);
+    (fun _ -> incr fired);
   Pte_sim.Engine.run engine ~until:2.0;
   (* fires at 0.0, 0.5, 1.0, 1.5, 2.0 *)
   Alcotest.(check bool) "about 5 firings" true (!fired >= 4 && !fired <= 6)
@@ -144,6 +144,25 @@ let test_metrics_series () =
         Alcotest.failf "sample (%g, %g) off the level=t line" t v)
     series
 
+let test_misspelt_armed_in () =
+  (* a stimulus armed in a location the automaton lacks used to poll,
+     unmatched, for the whole run and never fire *)
+  let engine = mk_engine () in
+  let refused what register =
+    match register () with
+    | () -> Alcotest.failf "%s accepted armed_in \"Idel\"" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "exponential_stimulus" (fun () ->
+      Pte_sim.Scenario.exponential_stimulus engine ~mean:1.0 ~automaton:"listener"
+        ~armed_in:"Idel" ~root:"go" ());
+  refused "one_shot" (fun () ->
+      Pte_sim.Scenario.one_shot engine ~at:1.0 ~automaton:"listener" ~armed_in:"Idel"
+        ~root:"go");
+  Pte_sim.Engine.run engine ~until:0.1;
+  Alcotest.(check string) "nothing registered" "Idle"
+    (Pte_sim.Engine.location_of engine "listener")
+
 let suite =
   [
     ( "sim.engine",
@@ -162,5 +181,7 @@ let suite =
         Alcotest.test_case "fork rng deterministic" `Quick
           test_fork_rng_deterministic;
         Alcotest.test_case "sample series" `Quick test_metrics_series;
+        Alcotest.test_case "misspelt armed_in refused" `Quick
+          test_misspelt_armed_in;
       ] );
   ]
